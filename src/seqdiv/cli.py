@@ -1,8 +1,8 @@
 """Command-line surface for sequence generation, reports, and campaigns.
 
 Every invocation is reproducible from its argument vector alone; the only
-environment input is the optional SEQ_SEED default for randomized work, and
-the --seed flag overrides it.
+environment input is the optional SEQ_SEED default for the factorization
+seed of ``seq factor``, and its --seed flag overrides it.
 
 Exit codes: 0 success, 1 campaign ran and found failures, 2 for validation,
 parse, or configuration errors (the error name and message go to stderr).
@@ -249,7 +249,6 @@ def build_parser():
     ver.add_argument("--n-max", type=int, default=12)
     ver.add_argument("--m-max", type=int, default=12)
     ver.add_argument("--include-excluded", action="store_true")
-    ver.add_argument("--seed", type=int)
     ver.add_argument("--json", action="store_true")
     ver.set_defaults(func=cmd_verify)
 
@@ -275,9 +274,24 @@ def build_parser():
     return parser
 
 
+def _join_poly_values(argv):
+    """Rewrite "--a -x+3" as "--a=-x+3".
+
+    argparse reads a value that starts with "-" as the next flag; the joined
+    form passes it through as the value.
+    """
+    out = []
+    for arg in argv:
+        if out and out[-1] in ("--a", "--b") and arg.startswith("-") and not arg.startswith("--"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_poly_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except SeqdivError as e:

@@ -2,13 +2,12 @@
 
 A field descriptor owns the raw value representation (``fractions.Fraction``
 for the rationals, canonical residues ``0..p-1`` for F_p) and all arithmetic
-on it.  ``FieldElem`` is a thin typed wrapper pairing a descriptor with a raw
-value; polynomial code works on raw values directly for speed.
+on it; polynomial code works on raw values directly for speed.
 """
 
 from fractions import Fraction
 
-from .errors import DivisionByZero, FieldMismatch, NotPrime, ParseError, WrongField
+from .errors import DivisionByZero, NotPrime, ParseError, WrongField
 
 
 def is_prime(n):
@@ -148,84 +147,3 @@ class PrimeField:
 
     def __repr__(self):
         return f"PrimeField({self.p})"
-
-
-def characteristic(field):
-    """0 for the rationals, p for a prime field."""
-    return field.char
-
-
-class FieldElem:
-    """A field element tagged with its descriptor.
-
-    Mixing descriptors raises FieldMismatch instead of silently coercing.
-    """
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field, value):
-        self.field = field
-        self.value = field.normalize(value)
-
-    def _check(self, other):
-        if not isinstance(other, FieldElem):
-            raise FieldMismatch(f"expected FieldElem, got {other!r}")
-        if other.field != self.field:
-            raise FieldMismatch(f"cannot mix {self.field!r} and {other.field!r}")
-
-    def __add__(self, other):
-        self._check(other)
-        return FieldElem(self.field, self.field.add(self.value, other.value))
-
-    def __sub__(self, other):
-        self._check(other)
-        return FieldElem(self.field, self.field.sub(self.value, other.value))
-
-    def __mul__(self, other):
-        self._check(other)
-        return FieldElem(self.field, self.field.mul(self.value, other.value))
-
-    def __neg__(self):
-        return FieldElem(self.field, self.field.neg(self.value))
-
-    def inverse(self):
-        return FieldElem(self.field, self.field.inv(self.value))
-
-    def is_zero(self):
-        return not self.value
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldElem)
-            and other.field == self.field
-            and other.value == self.value
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.value))
-
-    def __repr__(self):
-        return f"FieldElem({self.field!r}, {self.value!r})"
-
-    def __str__(self):
-        return self.field.format_scalar(self.value)
-
-
-def field_add(a, b):
-    return a + b
-
-
-def field_sub(a, b):
-    return a - b
-
-
-def field_mul(a, b):
-    return a * b
-
-
-def field_neg(a):
-    return -a
-
-
-def field_inv(a):
-    return a.inverse()

@@ -37,6 +37,7 @@ __all__ = [
     "resultant",
     "power_sum_resultant_check",
     "eval_form",
+    "eval_form_on_powers",
     "divisors",
     "mobius",
     "euler_phi",
@@ -170,10 +171,6 @@ class BivarForm:
 
     def to_json(self):
         return {"degree": self.degree, "coeffs": [str(c) for c in self.coeffs]}
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(obj["degree"], [int(c) for c in obj["coeffs"]])
 
     def __repr__(self):
         return f"BivarForm({self.degree}, {self.coeffs!r})"
@@ -384,14 +381,20 @@ def eval_form(a, u, v):
     """Evaluate an integer form at a pair of polynomials over a common field."""
     u._check(v)
     field = u.field
-    d = a.degree
     if a.is_zero():
         return Poly.zero(field)
     u_pows = [Poly.one(field)]
     v_pows = [Poly.one(field)]
-    for _ in range(d):
+    for _ in range(a.degree):
         u_pows.append(u_pows[-1] * u)
         v_pows.append(v_pows[-1] * v)
+    return eval_form_on_powers(a, u_pows, v_pows)
+
+
+def eval_form_on_powers(a, u_pows, v_pows):
+    """Evaluate a nonzero form from the powers u^k and v^k, k = 0..degree at least."""
+    field = u_pows[0].field
+    d = a.degree
     acc = Poly.zero(field)
     for k, c in enumerate(a.coeffs):
         if c:

@@ -81,12 +81,30 @@ class PrimitiveReport:
         return doc
 
 
+def _term_gcd(params, m, n):
+    """Monic gcd(term(m), term(n)), computed once per sequence.
+
+    The table params._gcd is keyed by (min, max) and holds only gcds that
+    were actually computed from the two terms, never a value predicted by
+    the strong divisibility law.
+    """
+    key = (m, n) if m <= n else (n, m)
+    g = params._gcd.get(key)
+    if g is None:
+        g = params._gcd[key] = poly_gcd(term(params, key[0]), term(params, key[1]))
+    return g
+
+
 def strong_div_check(params, m, n):
-    """True iff gcd(term(m), term(n)) is associated to term(gcd(m, n))."""
+    """True iff gcd(term(m), term(n)) is associated to term(gcd(m, n)).
+
+    Reads and fills the per-sequence gcd table, which primitive_part may
+    then reuse.  The gcd is always computed from the two terms themselves;
+    term(gcd(m, n)) appears only on the right of the comparison.
+    """
     if m < 1 or n < 1:
         raise PreconditionViolated("indices must be positive")
-    g = poly_gcd(term(params, m), term(params, n))
-    return is_associated(g, term(params, int_gcd(m, n)))
+    return is_associated(_term_gcd(params, m, n), term(params, int_gcd(m, n)))
 
 
 def primitive_part(params, n, with_primes=False):
@@ -99,6 +117,13 @@ def primitive_part(params, n, with_primes=False):
     is associated to the n-th cyclotomic value; that comparison is defined
     for n >= 3 at indices not divisible by the characteristic, and the flag
     is false elsewhere.
+
+    When the gcd table already holds G = gcd(term(m), term(n)) (filled by
+    strong_div_check or coprime_pair_check), the stripping runs against G
+    instead of term(m): b divides term(n), so gcd(b, term(m)) = gcd(b, G).
+    Unit entries and G values already stripped are skipped.  This function
+    never fills the table, and never strips against term(gcd(m, n)), which
+    would assume the law strong_div_check is there to test.
     """
     if n < 1:
         raise PreconditionViolated("index must be positive")
@@ -106,10 +131,17 @@ def primitive_part(params, n, with_primes=False):
     excluded = bool(p) and n % p == 0
     t = term(params, n)
     b = t
+    stripped = set()
     for m in range(1, n):
-        tm = term(params, m)
+        divisor = params._gcd.get((m, n))
+        if divisor is None:
+            divisor = term(params, m)
+        elif divisor.is_unit() or divisor.coeffs in stripped:
+            continue
+        else:
+            stripped.add(divisor.coeffs)
         while True:
-            g = poly_gcd(b, tm)
+            g = poly_gcd(b, divisor)
             if g.is_unit():
                 break
             b = exact_div(b, g)
@@ -239,7 +271,8 @@ def coprime_pair_check(params, m, n):
     """True iff term(m) and term(n) generate coprime ideals, for coprime m, n.
 
     For the lehmer kind the statement covers odd m with n of either parity,
-    so m must be odd (swap the pair if needed).
+    so m must be odd (swap the pair if needed).  Reads and fills the gcd
+    table under the key (min(m, n), max(m, n)).
     """
     if params.kind is SeqKind.POWER:
         raise PreconditionViolated("pairwise coprimality applies to lucas and lehmer terms")
@@ -247,7 +280,7 @@ def coprime_pair_check(params, m, n):
         raise PreconditionViolated(f"indices {m}, {n} are not coprime")
     if params.kind is SeqKind.LEHMER and m % 2 == 0:
         raise PreconditionViolated("for the lehmer kind the first index must be odd")
-    return poly_gcd(term(params, m), term(params, n)).is_unit()
+    return _term_gcd(params, m, n).is_unit()
 
 
 def primitive_parts_factored(params, n_max):
@@ -255,7 +288,9 @@ def primitive_parts_factored(params, n_max):
 
     Factors every term up to n_max and keeps, for each n, the factors never
     seen at an earlier index, with their multiplicity in term(n).  Serves as
-    the independent oracle for the gcd-stripping construction.
+    the independent oracle for the gcd-stripping construction, so it shares
+    only term() with it: it must not read the gcd table or call
+    primitive_part.
     """
     if not params.field.char:
         raise UnsupportedField("the factorization oracle needs a prime field")

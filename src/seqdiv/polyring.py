@@ -13,7 +13,6 @@ with their unique monic (or zero) generator.
 import re
 from fractions import Fraction
 
-from .coeff import PrimeField, Rationals
 from .errors import (
     DivisionByZero,
     FieldMismatch,
@@ -26,9 +25,6 @@ from .errors import (
 __all__ = [
     "Poly",
     "MonicIdeal",
-    "poly_add",
-    "poly_sub",
-    "poly_mul",
     "poly_divrem",
     "exact_div",
     "poly_gcd",
@@ -336,18 +332,6 @@ class Poly:
         return format_poly(self)
 
 
-def poly_add(a, b):
-    return a + b
-
-
-def poly_sub(a, b):
-    return a - b
-
-
-def poly_mul(a, b):
-    return a * b
-
-
 def poly_divrem(a, b):
     """Quotient and remainder with deg r < deg b."""
     return divmod(a, b)
@@ -523,13 +507,3 @@ def format_poly(a):
         else:
             out.append(("-" if negative else "+") + body)
     return "".join(out)
-
-
-def rationals_poly(coeffs):
-    """Convenience: a Poly over Q from ints/Fractions."""
-    return Poly(Rationals(), coeffs)
-
-
-def fp_poly(p, coeffs):
-    """Convenience: a Poly over F_p from ints."""
-    return Poly(PrimeField(p), coeffs)

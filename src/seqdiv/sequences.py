@@ -17,7 +17,7 @@ catch a bug in the other.
 
 from enum import Enum
 
-from .cyclokit import cyclotomic_form, divisors, eval_form, mobius
+from .cyclokit import cyclotomic_form, divisors, eval_form_on_powers, mobius
 from .errors import (
     BothUnits,
     FieldMismatch,
@@ -48,9 +48,15 @@ class SeqKind(str, Enum):
 
 
 class SeqParams:
-    """A validated parameter pair plus growable per-sequence caches."""
+    """A validated parameter pair plus growable per-sequence caches.
 
-    __slots__ = ("kind", "field", "a", "b", "_terms", "_apow", "_bpow", "_lam", "_eta")
+    _terms holds term(n) by index, _apow and _bpow the powers of a and b
+    (power kind), _lam and _eta the tower powers of the oracle, and _gcd the
+    monic gcd(term(m), term(n)) keyed by (m, n) with m <= n, filled by the
+    divisibility checks.
+    """
+
+    __slots__ = ("kind", "field", "a", "b", "_terms", "_apow", "_bpow", "_lam", "_eta", "_gcd")
 
     def __init__(self, kind, field, a, b):
         self.kind = kind
@@ -62,6 +68,7 @@ class SeqParams:
         self._bpow = [Poly.one(field)]
         self._lam = None
         self._eta = None
+        self._gcd = {}
 
     def __eq__(self, other):
         return (
@@ -269,13 +276,17 @@ def _mobius_term_product(params, n):
 def cyclotomic_value(params, n):
     """The n-th cyclotomic form evaluated at the defining pair, for n >= 3.
 
-    power: direct evaluation at (a, b).  lucas and lehmer: expressed through
-    earlier terms by Moebius inversion, which stays inside K[x].
+    power: direct evaluation at (a, b) on the cached powers of a and b, which
+    term(params, n) grows far enough (the form has degree phi(n) < n).
+    lucas and lehmer: expressed through earlier terms by Moebius inversion,
+    which stays inside K[x].  Never reads the gcd table, so the cyclotomic
+    comparison stays independent of the stripping it checks.
     """
     if not isinstance(n, int) or n < 3:
         raise PreconditionViolated("cyclotomic comparison starts at index 3")
     if params.kind is SeqKind.POWER:
-        return eval_form(cyclotomic_form(n), params.a, params.b)
+        term(params, n)
+        return eval_form_on_powers(cyclotomic_form(n), params._apow, params._bpow)
     if params.kind is SeqKind.LUCAS:
         return _mobius_term_product(params, n)
     return mobius_product(params, n)

@@ -9,6 +9,7 @@ lexicographically by coefficient tuples and random enumeration is seeded.
 
 import json
 import random
+import re
 import time
 from dataclasses import dataclass
 from itertools import product
@@ -483,12 +484,22 @@ def run_campaign(config):
 # --- config files ---------------------------------------------------------
 
 
-def _field_from_desc(kind_text, p_value):
+def _json_int(doc, key, default=None):
+    """doc[key] as a JSON integer (a bool is not one), or the default if absent."""
+    value = doc.get(key, default)
+    if type(value) is not int:
+        raise ConfigInvalid(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _field_from_desc(fdesc):
+    kind_text = fdesc["type"]
     if kind_text == "q":
         return Rationals()
     if kind_text == "fp":
-        if p_value is None:
+        if fdesc.get("p") is None:
             raise ConfigInvalid("prime field needs p")
+        p_value = _json_int(fdesc, "p")
         if not is_prime(p_value):
             raise ConfigInvalid(f"{p_value} is not prime")
         return PrimeField(p_value)
@@ -538,10 +549,13 @@ def parse_config(text):
     JSON keys: field {"type": "q"|"fp", "p"?}, kinds, max_param_degree,
     enumeration {"type": "exhaustive"} or {"type": "random", "count", "seed"},
     n_max, m_max, checks (names or "all"), include_excluded, params (pairs of
-    polynomial strings).  The key=value format takes one key per line with #
-    comments; lists are comma-separated, params entries are semicolon-
-    separated "a,b" pairs, and enumeration is "exhaustive" or
-    "random:count:seed".
+    polynomial strings).  p, max_param_degree, n_max, m_max, count and seed
+    must be JSON integers and include_excluded a JSON boolean.  The
+    key=value format takes one key per line with # comments; lists are
+    comma-separated, params entries are semicolon-separated "a,b" pairs,
+    enumeration is "exhaustive" or "random:count:seed", integers are
+    optionally signed decimal digits, and include_excluded is one of
+    true/false/yes/no/1/0.  Any other value raises ConfigInvalid.
     """
     stripped = text.lstrip()
     if stripped.startswith("{"):
@@ -580,7 +594,7 @@ def _config_from_dict(doc):
     fdesc = doc.get("field")
     if not isinstance(fdesc, dict) or "type" not in fdesc:
         raise ConfigInvalid('field must be {"type": "q"} or {"type": "fp", "p": ...}')
-    field = _field_from_desc(fdesc["type"], fdesc.get("p"))
+    field = _field_from_desc(fdesc)
     kinds = _parse_kinds(doc.get("kinds", []))
     checks = _parse_checks(doc.get("checks", []))
     enum_desc = doc.get("enumeration", {"type": "exhaustive"})
@@ -589,31 +603,40 @@ def _config_from_dict(doc):
     if enum_desc.get("type") == "exhaustive":
         enumeration = Exhaustive()
     elif enum_desc.get("type") == "random":
-        try:
-            enumeration = Random(int(enum_desc["count"]), int(enum_desc.get("seed", 0)))
-        except KeyError as exc:
-            raise ConfigInvalid("random enumeration needs a count") from exc
+        if "count" not in enum_desc:
+            raise ConfigInvalid("random enumeration needs a count")
+        enumeration = Random(_json_int(enum_desc, "count"), _json_int(enum_desc, "seed", 0))
     else:
         raise ConfigInvalid("enumeration type must be exhaustive or random")
     params = None
     if "params" in doc:
         params = _parse_param_pairs(field, doc["params"])
-    try:
-        config = CampaignConfig(
-            field=field,
-            kinds=kinds,
-            max_param_degree=int(doc.get("max_param_degree", 2)),
-            enumeration=enumeration,
-            n_max=int(doc.get("n_max", 12)),
-            m_max=int(doc.get("m_max", 12)),
-            checks=checks,
-            include_excluded=bool(doc.get("include_excluded", False)),
-            params=params,
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigInvalid(f"bad config value: {exc}") from exc
+    include_excluded = doc.get("include_excluded", False)
+    if not isinstance(include_excluded, bool):
+        raise ConfigInvalid(f"include_excluded must be true or false, got {include_excluded!r}")
+    config = CampaignConfig(
+        field=field,
+        kinds=kinds,
+        max_param_degree=_json_int(doc, "max_param_degree", 2),
+        enumeration=enumeration,
+        n_max=_json_int(doc, "n_max", 12),
+        m_max=_json_int(doc, "m_max", 12),
+        checks=checks,
+        include_excluded=include_excluded,
+        params=params,
+    )
     validate_config(config)
     return config
+
+
+_FLAT_INT_RE = re.compile(r"[+-]?[0-9]+")
+_FLAT_BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+
+def _flat_int(key, text):
+    if not _FLAT_INT_RE.fullmatch(text):
+        raise ConfigInvalid(f"{key} must be an integer, got {text!r}")
+    return int(text)
 
 
 def _config_from_flat(doc):
@@ -621,10 +644,7 @@ def _config_from_flat(doc):
     if "field" in doc:
         out["field"] = {"type": doc["field"]}
         if "p" in doc:
-            try:
-                out["field"]["p"] = int(doc["p"])
-            except ValueError as exc:
-                raise ConfigInvalid("p must be an integer") from exc
+            out["field"]["p"] = _flat_int("p", doc["p"])
     if "kinds" in doc:
         out["kinds"] = [v.strip() for v in doc["kinds"].split(",") if v.strip()]
     if "checks" in doc:
@@ -637,14 +657,21 @@ def _config_from_flat(doc):
             bits = enum_text.split(":")
             if len(bits) != 3:
                 raise ConfigInvalid("random enumeration is random:count:seed")
-            out["enumeration"] = {"type": "random", "count": bits[1], "seed": bits[2]}
+            out["enumeration"] = {
+                "type": "random",
+                "count": _flat_int("count", bits[1]),
+                "seed": _flat_int("seed", bits[2]),
+            }
         else:
             raise ConfigInvalid(f"unknown enumeration {enum_text!r}")
     for key in ("max_param_degree", "n_max", "m_max"):
         if key in doc:
-            out[key] = doc[key]
+            out[key] = _flat_int(key, doc[key])
     if "include_excluded" in doc:
-        out["include_excluded"] = doc["include_excluded"].lower() in ("1", "true", "yes")
+        text = doc["include_excluded"]
+        if text.lower() not in _FLAT_BOOLS:
+            raise ConfigInvalid(f"include_excluded must be true or false, got {text!r}")
+        out["include_excluded"] = _FLAT_BOOLS[text.lower()]
     if "params" in doc:
         pairs = []
         for chunk in doc["params"].split(";"):

@@ -286,7 +286,36 @@ class TestSeedHandling:
         assert first == second
 
 
+class TestNegativeParameters:
+    @pytest.mark.parametrize(
+        "cmd,extra",
+        [("gen", ["--n", "5"]), ("verify", ["--n-max", "6", "--m-max", "6"])],
+    )
+    def test_leading_minus_value_matches_joined_form(self, capsys, cmd, extra):
+        def lines(result):
+            code, out, err = result
+            return code, [l for l in out.splitlines() if not l.startswith("wall time")], err
+
+        base = [cmd, "--kind", "lucas", "--field", "q", *extra]
+        split = lines(run(capsys, *base, "--a", "-x+3", "--b", "-2"))
+        assert split[0] == 0 and split[2] == ""
+        assert split == lines(run(capsys, *base, "--a=-x+3", "--b=-2"))
+
+    def test_gen_terms_of_negative_parameter(self, capsys):
+        code, out, _ = run(
+            capsys, "gen", "--kind", "lucas", "--field", "q", "--a", "-x+3",
+            "--b", "1", "--n", "3",
+        )
+        assert code == 0
+        assert out.splitlines() == ["1", "-x+3", "x^2-6*x+8"]
+
+
 class TestArgparseErrors:
+    def test_verify_has_no_seed_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--kind", "lucas", "--a", "x", "--b", "1", "--seed", "1"])
+        assert exc.value.code == 2
+
     def test_unknown_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
+from conftest import poly_strategy
 from seqdiv.coeff import PrimeField, Rationals
 from seqdiv.divisibility import (
     coprime_pair_check,
@@ -15,7 +18,7 @@ from seqdiv.divisibility import (
     zsigmondy_claimed,
     zsigmondy_failures,
 )
-from seqdiv.errors import PreconditionViolated, UnsupportedField
+from seqdiv.errors import PreconditionViolated, UnsupportedField, ValidationError
 from seqdiv.polyring import is_associated, monic, parse_poly, poly_gcd
 from seqdiv.sequences import SeqKind, term, validate
 
@@ -337,6 +340,38 @@ class TestFactoredOracle:
         params = mk("lucas", Q, "x", "1")
         with pytest.raises(UnsupportedField):
             primitive_parts_factored(params, 6)
+
+
+class TestGcdTable:
+    @given(data=st.data())
+    def test_stripping_against_the_table_is_exact(self, data):
+        field = data.draw(st.sampled_from([F2, F3, F5, Q]))
+        kind = data.draw(st.sampled_from(list(SeqKind)))
+        a = data.draw(poly_strategy(field, 2, nonzero=True))
+        b = data.draw(poly_strategy(field, 2, nonzero=True))
+        try:
+            fresh = validate(kind, field, a, b)
+        except ValidationError:
+            assume(False)
+        filled = validate(kind, field, a, b)
+        n_max = 10
+        m_max = data.draw(st.integers(1, n_max))  # below n_max the table is partial
+        for m in range(1, m_max + 1):
+            for n in range(m, n_max + 1):
+                strong_div_check(filled, m, n)
+        plain = [primitive_part(fresh, n) for n in range(1, n_max + 1)]
+        assert not fresh._gcd  # primitive_part reads the table, never fills it
+        assert [primitive_part(filled, n) for n in range(1, n_max + 1)] == plain
+        if field.char:
+            parts = primitive_parts_factored(fresh, n_max)
+            assert [r.primitive_part for r in plain] == [parts[n] for n in range(1, n_max + 1)]
+
+    def test_keys_are_ordered_pairs(self):
+        params = mk("lehmer", F5, "x^2+1", "x")
+        assert coprime_pair_check(params, 3, 2)
+        assert strong_div_check(params, 6, 4)
+        assert set(params._gcd) == {(2, 3), (4, 6)}
+        assert params._gcd[(4, 6)] == monic(poly_gcd(term(params, 4), term(params, 6)))
 
 
 class TestTermDivisors:

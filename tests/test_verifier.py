@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from seqdiv.cli import main
 from seqdiv.coeff import PrimeField, Rationals
 from seqdiv.errors import ConfigInvalid
 from seqdiv.polyring import parse_poly
@@ -210,6 +211,21 @@ class TestCampaigns:
             ("zsigmondy", 6),
         }
 
+    def test_check_order_does_not_change_results(self):
+        # strong_div first fills the gcd table that primitive_part then
+        # reads; zsigmondy first strips against the full terms.  m_max below
+        # n_max leaves the table partial.
+        def run(checks):
+            report = run_campaign(
+                config(field=F3, kinds=(SeqKind.LEHMER,), checks=checks, n_max=8, m_max=5)
+            )
+            failures = sorted(json.dumps(f.to_json(), sort_keys=True) for f in report.failures)
+            return report.cases_run, report.cases_passed, failures
+
+        zs_first = run(("zsigmondy", "strong_div"))
+        assert zs_first == run(("strong_div", "zsigmondy"))
+        assert len(zs_first[2]) == 12
+
     def test_all_checks_smoke(self):
         # parameters of distinct degrees so no term collapses to a unit
         pair = (parse_poly(F5, "x^2+1"), parse_poly(F5, "x"))
@@ -293,6 +309,88 @@ class TestConfigParsing:
     def test_rejected_configs(self, text):
         with pytest.raises(ConfigInvalid):
             parse_config(text)
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("include_excluded", "false"),
+            ("include_excluded", 0),
+            ("include_excluded", None),
+            ("n_max", 12.9),
+            ("n_max", "8"),
+            ("n_max", True),
+            ("m_max", 8.0),
+            ("max_param_degree", "1"),
+            ("max_param_degree", False),
+        ],
+    )
+    def test_json_values_must_have_their_json_type(self, key, value):
+        doc = json.loads(self.JSON_DOC)
+        doc[key] = value
+        with pytest.raises(ConfigInvalid):
+            parse_config(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "enumeration",
+        [
+            {"type": "random", "count": "5", "seed": 1},
+            {"type": "random", "count": 5.0, "seed": 1},
+            {"type": "random", "count": True, "seed": 1},
+            {"type": "random", "count": 5, "seed": "1"},
+            {"type": "random", "count": 5, "seed": 1.5},
+        ],
+    )
+    def test_json_random_enumeration_needs_integers(self, enumeration):
+        doc = json.loads(self.JSON_DOC)
+        doc["enumeration"] = enumeration
+        with pytest.raises(ConfigInvalid):
+            parse_config(json.dumps(doc))
+
+    @pytest.mark.parametrize("p", ["3", 3.0, True])
+    def test_json_p_must_be_an_integer(self, p):
+        doc = json.loads(self.JSON_DOC)
+        doc["field"]["p"] = p
+        with pytest.raises(ConfigInvalid):
+            parse_config(json.dumps(doc))
+
+    def test_json_include_excluded_boolean(self):
+        doc = json.loads(self.JSON_DOC)
+        doc["include_excluded"] = True
+        assert parse_config(json.dumps(doc)).include_excluded is True
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "include_excluded = flase",
+            "include_excluded = ",
+            "n_max = 12.9",
+            "n_max = 1_0",
+            "m_max = eight",
+            "max_param_degree = 1.0",
+            "p = 3.0",
+            "enumeration = random:5.5:1",
+            "enumeration = random:5:x",
+        ],
+    )
+    def test_flat_values_parse_strictly(self, line):
+        with pytest.raises(ConfigInvalid):
+            parse_config(self.FLAT + line + "\n")
+
+    @pytest.mark.parametrize(
+        "text,expected",
+        [("true", True), ("Yes", True), ("1", True), ("false", False), ("NO", False), ("0", False)],
+    )
+    def test_flat_include_excluded_words(self, text, expected):
+        cfg = parse_config(self.FLAT + f"include_excluded = {text}\n")
+        assert cfg.include_excluded is expected
+
+    def test_invalid_config_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "campaign.json"
+        doc = json.loads(self.JSON_DOC)
+        doc["include_excluded"] = "false"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["verify", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("ConfigInvalid:")
 
     def test_load_config(self, tmp_path):
         path = tmp_path / "campaign.cfg"
