@@ -23,6 +23,7 @@ from .sequences import SeqKind, term, validate
 from .verifier import (
     ALL_CHECKS,
     CampaignConfig,
+    _field_json,
     load_config,
     render_report,
     run_campaign,
@@ -40,12 +41,6 @@ def _field_from_args(args):
     if args.p is not None:
         raise ConfigInvalid("--p only makes sense with --field fp")
     return Rationals()
-
-
-def _field_json(field):
-    if field.char:
-        return {"type": "fp", "p": field.p}
-    return {"type": "q"}
 
 
 def _params_from_args(args):

@@ -14,6 +14,7 @@ import random
 from fractions import Fraction
 
 from .coeff import PrimeField, Rationals
+from .cyclokit import divisors
 from .errors import UnsupportedField, ZeroArgument
 from .polyring import Poly, exact_div, poly_gcd
 
@@ -237,19 +238,6 @@ def is_irreducible_fp(h):
     return True
 
 
-def _int_divisors(n):
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
 def _primitive_int_coeffs(f):
     """Integer coefficient list of a Q-polynomial, content removed, positive lead."""
     den = 1
@@ -300,8 +288,8 @@ def low_degree_factors_q(h, max_degree=2):
     if s.degree >= 1:
         ints = _primitive_int_coeffs(s)
         roots = set()
-        for num in _int_divisors(ints[0]):
-            for den in _int_divisors(ints[-1]):
+        for num in divisors(abs(ints[0])):
+            for den in divisors(abs(ints[-1])):
                 for r in (Fraction(num, den), Fraction(-num, den)):
                     if r not in roots and s(r) == 0:
                         roots.add(r)
@@ -315,11 +303,11 @@ def low_degree_factors_q(h, max_degree=2):
         c = Poly(h.field, cz)
         v0, v1, vm1 = int(c(0)), int(c(1)), int(c(-1))
         seen = set()
-        for d0s in _int_divisors(v0):
+        for d0s in divisors(abs(v0)):
             for d0 in (d0s, -d0s):
-                for d1s in _int_divisors(v1):
+                for d1s in divisors(abs(v1)):
                     for d1 in (d1s, -d1s):
-                        for dm1s in _int_divisors(vm1):
+                        for dm1s in divisors(abs(vm1)):
                             for dm1 in (dm1s, -dm1s):
                                 if (d1 + dm1) % 2:
                                     continue

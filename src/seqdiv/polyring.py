@@ -1,9 +1,11 @@
 """Univariate polynomials over an exact coefficient field.
 
 ``Poly`` stores raw coefficient values (lowest degree first, no trailing
-zeros) plus its field descriptor.  All arithmetic is exact; the hot paths
-(division, gcd) run on plain lists with the mod-p reduction inlined so that
-large verification campaigns stay affordable in pure Python.
+zeros) plus its field descriptor.  All arithmetic is exact.  The raw kernel
+below (``_reduce``, ``_monic_raw``, ``_divrem_raw``, ``_gcd_raw``) is the only
+code that reads the characteristic: over F_p it works on integers congruent
+to the true values and reduces mod p where a value is read or leaves the
+kernel; over Q every value is an exact Fraction and reduction is a no-op.
 
 Units of K[x] are the nonzero constants; two polynomials are associated
 exactly when their monic normalizations coincide, and ideals are identified
@@ -29,11 +31,11 @@ __all__ = [
     "exact_div",
     "poly_gcd",
     "monic",
-    "is_unit",
     "is_associated",
     "ideals_coprime",
     "valuation",
     "parse_poly",
+    "MAX_EXPONENT",
 ]
 
 
@@ -41,6 +43,22 @@ def _strip(cs):
     while cs and not cs[-1]:
         cs.pop()
     return cs
+
+
+def _reduce(cs, field):
+    """Canonical values of a raw list: residues mod p over F_p, as is over Q."""
+    p = field.char
+    return [c % p for c in cs] if p else cs
+
+
+def _monic_raw(cs, field):
+    """The monic associate of a nonzero raw list."""
+    p = field.char
+    lead = cs[-1]
+    if p:
+        inv = pow(lead, p - 2, p)
+        return [c * inv % p for c in cs]
+    return [c / lead for c in cs]
 
 
 def _divrem_raw(a, b, field):
@@ -51,73 +69,47 @@ def _divrem_raw(a, b, field):
     if da < db:
         return [], list(a)
     p = field.char
+    inv = pow(b[db], p - 2, p) if p else 1 / b[db]
     r = list(a)
     q = [field.zero] * (da - db + 1)
-    if p:
-        inv = pow(b[db], p - 2, p)
-        for k in range(da - db, -1, -1):
-            c = r[db + k]
-            if c:
-                c = c * inv % p
-                q[k] = c
-                for i in range(db):
-                    r[i + k] = (r[i + k] - c * b[i]) % p
-                r[db + k] = 0
-    else:
-        lead = b[db]
-        for k in range(da - db, -1, -1):
-            c = r[db + k]
-            if c:
-                c = c / lead
-                q[k] = c
-                for i in range(db):
-                    r[i + k] = r[i + k] - c * b[i]
-                r[db + k] = Fraction(0)
-    return q, _strip(r)
+    for k in range(da - db, -1, -1):
+        c = r[db + k] * inv
+        if p:
+            c %= p
+        if c:
+            q[k] = c
+            for i in range(db):
+                r[i + k] -= c * b[i]
+    return q, _strip(_reduce(r[:db], field))
 
 
 def _gcd_raw(a, b, field):
-    """Monic gcd on raw lists via the Euclidean algorithm."""
+    """Monic gcd on raw lists via the Euclidean algorithm.
+
+    Reduction and strip run inline once per division step: this is the
+    hottest loop of a campaign, and a helper call per step is measurably slower.
+    """
     p = field.char
     a, b = list(a), list(b)
-    if p:
-        while b:
-            db = len(b) - 1
-            inv = pow(b[db], p - 2, p)
-            r = a
-            while len(r) > db:
-                c = r[-1] * inv % p
-                if c:
-                    k = len(r) - 1 - db
-                    for i in range(db):
-                        r[i + k] = (r[i + k] - c * b[i]) % p
-                r.pop()
-                while r and not r[-1]:
-                    r.pop()
-            a, b = b, r
-        if a and a[-1] != 1:
-            inv = pow(a[-1], p - 2, p)
-            a = [c * inv % p for c in a]
-        return a
     while b:
-        # keep the divisor monic so coefficient growth stays tame
-        lead = b[-1]
-        if lead != 1:
-            b = [c / lead for c in b]
+        db = len(b) - 1
+        inv = pow(b[db], p - 2, p) if p else 1 / b[db]
         r = a
-        while len(r) > len(b) - 1:
-            c = r[-1]
+        while len(r) > db:
+            c = r.pop() * inv
+            if p:
+                c %= p
             if c:
-                k = len(r) - len(b)
-                for i in range(len(b) - 1):
-                    r[i + k] = r[i + k] - c * b[i]
+                k = len(r) - db
+                for i in range(db):
+                    r[i + k] -= c * b[i]
+        if p:
+            r = [c % p for c in r]
+        while r and not r[-1]:
             r.pop()
-            while r and not r[-1]:
-                r.pop()
         a, b = b, r
     if a and a[-1] != 1:
-        lead = a[-1]
-        a = [c / lead for c in a]
+        a = _monic_raw(a, field)
     return a
 
 
@@ -160,10 +152,6 @@ class Poly:
     def const(cls, field, v):
         return cls._make(field, [field.normalize(v)])
 
-    @classmethod
-    def parse(cls, field, text):
-        return parse_poly(field, text)
-
     @property
     def degree(self):
         """Degree, with -1 for the zero polynomial."""
@@ -187,14 +175,9 @@ class Poly:
         """The unique monic associate (zero stays zero)."""
         if not self.coeffs:
             return self
-        lead = self.coeffs[-1]
-        if lead == self.field.one:
+        if self.coeffs[-1] == self.field.one:
             return self
-        inv = self.field.inv(lead)
-        p = self.field.char
-        if p:
-            return Poly._make(self.field, [c * inv % p for c in self.coeffs])
-        return Poly._make(self.field, [c * inv for c in self.coeffs])
+        return Poly._make(self.field, _monic_raw(self.coeffs, self.field))
 
     def _check(self, other):
         if not isinstance(other, Poly):
@@ -217,23 +200,14 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        p = self.field.char
         out = list(a)
-        if p:
-            for i, c in enumerate(b):
-                out[i] = (out[i] + c) % p
-        else:
-            for i, c in enumerate(b):
-                out[i] = out[i] + c
+        out[: len(b)] = _reduce([x + y for x, y in zip(a, b)], self.field)
         return Poly._make(self.field, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        p = self.field.char
-        if p:
-            return Poly._make(self.field, [-c % p for c in self.coeffs])
-        return Poly._make(self.field, [-c for c in self.coeffs])
+        return Poly._make(self.field, _reduce([-c for c in self.coeffs], self.field))
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -259,10 +233,7 @@ class Poly:
             if ai:
                 for j, bj in enumerate(b):
                     out[i + j] += ai * bj
-        p = self.field.char
-        if p:
-            out = [c % p for c in out]
-        return Poly._make(self.field, out)
+        return Poly._make(self.field, _reduce(out, self.field))
 
     __rmul__ = __mul__
 
@@ -295,22 +266,13 @@ class Poly:
         """Evaluate by Horner's rule at a raw scalar."""
         v = self.field.normalize(v)
         acc = self.field.zero
-        p = self.field.char
-        if p:
-            for c in reversed(self.coeffs):
-                acc = (acc * v + c) % p
-        else:
-            for c in reversed(self.coeffs):
-                acc = acc * v + c
-        return acc
+        for c in reversed(self.coeffs):
+            acc = acc * v + c
+        return _reduce([acc], self.field)[0]
 
     def derivative(self):
-        p = self.field.char
-        if p:
-            out = [c * k % p for k, c in enumerate(self.coeffs)][1:]
-        else:
-            out = [c * k for k, c in enumerate(self.coeffs)][1:]
-        return Poly._make(self.field, out)
+        out = [c * k for k, c in enumerate(self.coeffs)][1:]
+        return Poly._make(self.field, _reduce(out, self.field))
 
     def __eq__(self, other):
         return (
@@ -355,10 +317,6 @@ def monic(a):
     return a.monic()
 
 
-def is_unit(a):
-    return a.is_unit()
-
-
 def is_associated(a, b):
     """True when a and b differ by a nonzero constant factor."""
     return a.monic() == b.monic()
@@ -399,22 +357,6 @@ class MonicIdeal:
     def __setattr__(self, name, value):
         raise AttributeError("MonicIdeal is immutable")
 
-    @classmethod
-    def from_element(cls, a):
-        return cls(a)
-
-    def is_zero(self):
-        return self.generator.is_zero()
-
-    def is_unit_ideal(self):
-        return self.generator.is_unit()
-
-    def contains(self, b):
-        """Membership: the generator divides b (the zero ideal holds only 0)."""
-        if self.generator.is_zero():
-            return b.is_zero()
-        return not (b % self.generator)
-
     def __eq__(self, other):
         return isinstance(other, MonicIdeal) and other.generator == self.generator
 
@@ -435,6 +377,10 @@ class MonicIdeal:
 # coef  := int | int '/' uint
 #
 # Whitespace is ignored and the '*' between a coefficient and x is optional.
+# Exponents above MAX_EXPONENT are rejected: the dense result would need one
+# list entry per power of x.
+
+MAX_EXPONENT = 10_000
 
 _TERM_RE = re.compile(
     r"^(?P<coef>[0-9]+(?:/[0-9]+)?)?(?P<star>\*)?(?:x(?:\^(?P<exp>[0-9]+))?)?$"
@@ -471,14 +417,17 @@ def parse_poly(field, text):
             c = field.neg(c)
         e = 0
         if has_x:
-            e = int(m.group("exp")) if m.group("exp") is not None else 1
+            digits = (m.group("exp") or "1").lstrip("0") or "0"
+            if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+                raise ParseError(f"exponent in {chunk!r} exceeds {MAX_EXPONENT}")
+            e = int(digits)
         coeffs[e] = field.add(coeffs.get(e, field.zero), c)
         if nxt >= len(s):
             break
+        if nxt == len(s) - 1:
+            raise ParseError(f"dangling sign in {text!r}")
         sign = -1 if s[nxt] == "-" else 1
         pos = nxt + 1
-        if pos == len(s):
-            raise ParseError(f"dangling sign in {text!r}")
     raw = [field.zero] * (max(coeffs) + 1 if coeffs else 0)
     for e, c in coeffs.items():
         raw[e] = c

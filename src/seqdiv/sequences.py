@@ -287,6 +287,4 @@ def cyclotomic_value(params, n):
     if params.kind is SeqKind.POWER:
         term(params, n)
         return eval_form_on_powers(cyclotomic_form(n), params._apow, params._bpow)
-    if params.kind is SeqKind.LUCAS:
-        return _mobius_term_product(params, n)
-    return mobius_product(params, n)
+    return _mobius_term_product(params, n)

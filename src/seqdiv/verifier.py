@@ -204,17 +204,11 @@ def validate_config(config):
         raise ConfigInvalid("enumeration must be exhaustive or random")
 
 
-def _monic_candidates(field, max_deg):
+def _candidates(field, max_deg, leads):
+    """Polynomials of degree <= max_deg with a lead in leads, by degree, lead, tail."""
     p = field.p
     for d in range(max_deg + 1):
-        for tail in product(range(p), repeat=d):
-            yield Poly(field, tail + (1,))
-
-
-def _nonzero_candidates(field, max_deg):
-    p = field.p
-    for d in range(max_deg + 1):
-        for lead in range(1, p):
+        for lead in leads:
             for tail in product(range(p), repeat=d):
                 yield Poly(field, tail + (lead,))
 
@@ -227,18 +221,6 @@ def _lead_representatives(field):
     squares = {(i * i) % p for i in range(1, p)}
     smallest = min(v for v in range(1, p) if v not in squares)
     return (1, smallest)
-
-
-def _first_candidates(field, max_deg, kind):
-    if kind is SeqKind.LEHMER:
-        reps = _lead_representatives(field)
-        p = field.p
-        for d in range(max_deg + 1):
-            for lead in reps:
-                for tail in product(range(p), repeat=d):
-                    yield Poly(field, tail + (lead,))
-    else:
-        yield from _monic_candidates(field, max_deg)
 
 
 def _random_poly(field, max_deg, rng):
@@ -276,9 +258,10 @@ def enumerate_params(config):
                     rejected += 1
         return admitted, rejected
     if isinstance(config.enumeration, Exhaustive):
-        seconds = list(_nonzero_candidates(field, config.max_param_degree))
+        seconds = list(_candidates(field, config.max_param_degree, range(1, field.p)))
         for kind in config.kinds:
-            for a in _first_candidates(field, config.max_param_degree, kind):
+            leads = _lead_representatives(field) if kind is SeqKind.LEHMER else (1,)
+            for a in _candidates(field, config.max_param_degree, leads):
                 for b in seconds:
                     try:
                         admitted.append(validate(kind, field, a, b))

@@ -74,6 +74,14 @@ class TestGen:
         assert code == 2
         assert err.startswith("ParseError:")
 
+    def test_exponent_above_cap_is_a_parse_error(self, capsys):
+        code, out, err = run(
+            capsys, "gen", "--kind", "lucas", "--field", "fp", "--p", "5",
+            "--a", "x^1000000000", "--b", "1", "--n", "2",
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("ParseError:")
+
 
 class TestPrimitive:
     def test_single_index_q(self, capsys):

@@ -12,6 +12,7 @@ from seqdiv.errors import (
     ZeroArgument,
 )
 from seqdiv.polyring import (
+    MAX_EXPONENT,
     MonicIdeal,
     Poly,
     exact_div,
@@ -203,6 +204,13 @@ class TestParseFormat:
     def test_parse_rejects(self, rationals, bad):
         with pytest.raises(ParseError):
             parse_poly(rationals, bad)
+
+    def test_exponent_cap(self, f5):
+        assert parse_poly(f5, f"x^{MAX_EXPONENT}").degree == MAX_EXPONENT
+        assert parse_poly(f5, "x^007") == parse_poly(f5, "x^7")
+        for bad in (f"x^{MAX_EXPONENT + 1}", "x^1000000000", "x^" + "9" * 5000):
+            with pytest.raises(ParseError, match="exceeds"):
+                parse_poly(f5, bad)
 
     @given(q=poly_strategy(Rationals(), 4))
     def test_roundtrip_q(self, rationals, q):
