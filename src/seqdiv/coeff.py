@@ -2,7 +2,8 @@
 
 A field descriptor owns the raw value representation (``fractions.Fraction``
 for the rationals, canonical residues ``0..p-1`` for F_p) and all arithmetic
-on it; polynomial code works on raw values directly for speed.
+on it; polynomial code works on raw values directly for speed.  Descriptors
+are interned, so a field check is an identity test.
 """
 
 from fractions import Fraction
@@ -10,29 +11,39 @@ from fractions import Fraction
 from .errors import DivisionByZero, NotPrime, ParseError, WrongField
 
 
+# The first 13 primes as Miller-Rabin bases decide primality for every n
+# below PRIME_BOUND (Sorenson and Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n):
-    """Trial-division primality test, meant for desk-scale moduli."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    """Deterministic Miller-Rabin test; NotPrime for n >= PRIME_BOUND, where it is unproven."""
+    if n >= PRIME_BOUND:
+        raise NotPrime(f"primality is decided only below {PRIME_BOUND}, got {n}")
+    if n < 2 or any(n % q == 0 for q in _MR_BASES):
+        return n in _MR_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x != 1 and all(pow(x, 1 << i, n) != n - 1 for i in range(s)):
             return False
-        d += 2
     return True
 
 
 class Rationals:
-    """Descriptor for Q with Fraction values (always reduced, positive denominator)."""
+    """Descriptor for Q with Fraction values (reduced, positive denominator); a singleton."""
 
     kind = "q"
     char = 0
     zero = Fraction(0)
     one = Fraction(1)
+    _instance = None
+
+    def __new__(cls):
+        cls._instance = cls._instance or super().__new__(cls)
+        return cls._instance
 
     def normalize(self, v):
         if isinstance(v, Fraction):
@@ -82,16 +93,22 @@ class Rationals:
 
 
 class PrimeField:
-    """Descriptor for F_p with residues 0..p-1 as raw values."""
+    """Descriptor for F_p with residues 0..p-1 as raw values; interned, one per p."""
 
     kind = "fp"
     __slots__ = ("p", "char")
+    _interned = {}
 
-    def __init__(self, p):
+    def __new__(cls, p):
         if not isinstance(p, int) or not is_prime(p):
             raise NotPrime(f"modulus must be prime, got {p!r}")
-        self.p = p
-        self.char = p
+        if p not in cls._interned:
+            cls._interned[p] = self = super().__new__(cls)
+            self.p = self.char = p
+        return cls._interned[p]
+
+    def __getnewargs__(self):  # pickle and copy return the interned instance
+        return (self.p,)
 
     @property
     def zero(self):

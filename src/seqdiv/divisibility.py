@@ -286,23 +286,26 @@ def coprime_pair_check(params, m, n):
 def primitive_parts_factored(params, n_max):
     """Primitive parts over F_p from complete factorizations, per definition.
 
-    Factors every term up to n_max and keeps, for each n, the factors never
-    seen at an earlier index, with their multiplicity in term(n).  Serves as
-    the independent oracle for the gcd-stripping construction, so it shares
-    only term() with it: it must not read the gcd table or call
-    primitive_part.
+    Divides term(n) by every monic irreducible seen in earlier terms, as
+    often as it divides; the monic cofactor is the product of the unseen
+    irreducibles with their multiplicity in term(n), and only it is factored.
+
+    The independent oracle for the gcd-stripping construction: it may share
+    term() and the polynomial and factorization layers with it, but must not
+    read the gcd table, call primitive_part, or divide by anything but the
+    irreducibles factor_fp returned.
     """
     if not params.field.char:
         raise UnsupportedField("the factorization oracle needs a prime field")
-    seen = set()
+    seen = []
     parts = {}
     for n in range(1, n_max + 1):
-        factors = factor_fp(term(params, n)).factors
-        part = Poly.one(params.field)
-        for q, e in factors:
-            if q.coeffs not in seen:
-                part = part * q ** e
-        parts[n] = part
-        for q, _ in factors:
-            seen.add(q.coeffs)
+        b = term(params, n)
+        for q in seen:
+            quo, r = divmod(b, q)
+            while b and not r:
+                b = quo
+                quo, r = divmod(b, q)
+        parts[n] = b = b.monic()
+        seen.extend(q for q, _ in factor_fp(b).factors)
     return parts

@@ -7,6 +7,11 @@ powers, then randomized equal-degree splitting; for p = 2 the equal-degree
 split uses the trace map.  Randomness is confined to an explicitly seeded
 generator so runs are reproducible, and factors are returned in a canonical
 order either way.
+
+The distinct- and equal-degree steps work on raw lists in one
+``_QuotientRing`` F_p[x]/(f) per monic modulus f: Kronecker substitution packs
+each operand into one int, so a product is one multiply, then its slots are
+reduced mod p and mod f.
 """
 
 import math
@@ -16,7 +21,7 @@ from fractions import Fraction
 from .coeff import PrimeField, Rationals
 from .cyclokit import divisors
 from .errors import UnsupportedField, ZeroArgument
-from .polyring import Poly, exact_div, poly_gcd
+from .polyring import Poly, _divrem_raw, _gcd_raw, _strip, exact_div, poly_gcd
 
 __all__ = [
     "DEFAULT_SEED",
@@ -79,16 +84,71 @@ class Factorization:
         return "".join(parts)
 
 
-def _pow_mod(base, e, mod):
-    result = Poly.one(base.field)
-    base = base % mod
-    while e:
-        if e & 1:
-            result = (result * base) % mod
-        e >>= 1
-        if e:
-            base = (base * base) % mod
-    return result
+class _QuotientRing:
+    """F_p[x]/(f) for a monic raw f of degree n, elements packed into ints.
+
+    A packed element of degree < n holds its residues 0..p-1 in slots of w
+    bits.  A product of two has at most n(p-1)^2 in each of its 2n-1 slots;
+    once its top n-1 slots, reduced mod p, are added as multiples of the
+    packed rows x^k mod f, a low slot holds at most (2n-1)(p-1)^2 < 2^w.
+    """
+
+    __slots__ = ("p", "w", "mask", "low_bits", "rows")
+
+    def __init__(self, f, p):
+        n = len(f) - 1
+        self.p = p
+        self.w = ((2 * n - 1) * (p - 1) ** 2).bit_length()
+        self.mask = (1 << self.w) - 1
+        self.low_bits = n * self.w
+        row, self.rows = [-c % p for c in f[:-1]], []  # row = x^n mod f
+        for _ in range(n - 1):
+            self.rows.append(self.pack(row))
+            top = row[-1]
+            row = [(c - top * fc) % p for c, fc in zip([0] + row[:-1], f)]
+
+    def pack(self, cs):
+        v = 0
+        for c in reversed(cs):
+            v = v << self.w | c
+        return v
+
+    def unpack(self, v):
+        """The raw list of a packed element, without trailing zeros."""
+        out = []
+        while v:
+            out.append(v & self.mask)
+            v >>= self.w
+        return out
+
+    def mul(self, a, b):
+        w, mask, p = self.w, self.mask, self.p
+        c = a * b
+        low, c = c & ((1 << self.low_bits) - 1), c >> self.low_bits
+        for row in self.rows:
+            low += (c & mask) % p * row
+            c >>= w
+        out = shift = 0
+        while low:
+            out |= (low & mask) % p << shift
+            low >>= w
+            shift += w
+        return out
+
+    def pow(self, a, e):
+        result = 1
+        while e:
+            if e & 1:
+                result = self.mul(result, a)
+            e >>= 1
+            a = self.mul(a, a) if e else a
+        return result
+
+
+def _minus_monomial(cs, k, p):
+    out = cs + [0] * (k + 1 - len(cs))
+    out[k] = (out[k] - 1) % p
+    return _strip(out)
 
 
 def _yun_q(f):
@@ -153,51 +213,48 @@ def squarefree_decomp(h):
     return Factorization(h.field, unit, parts)
 
 
-def _ddf(f):
-    """Distinct-degree split of a monic squarefree polynomial over F_p."""
-    p = f.field.p
+def _ddf(f, field):
+    """Distinct-degree split of a monic squarefree raw list over F_p."""
+    p = field.p
     out = []
-    x = Poly.x(f.field)
-    h = x % f
+    h = [0, 1]
     d = 1
-    while f.degree >= 2 * d:
-        h = _pow_mod(h, p, f)
-        g = poly_gcd(f, h - x)
-        if g.degree > 0:
+    ring = _QuotientRing(f, p)
+    while len(f) > 2 * d:
+        h = ring.unpack(ring.pow(ring.pack(h), p))
+        g = _gcd_raw(f, _minus_monomial(h, 1, p), field)
+        if len(g) > 1:
             out.append((g, d))
-            f = exact_div(f, g)
-            h = h % f
+            f = _divrem_raw(f, g, field)[0]
+            h = _divrem_raw(h, f, field)[1]
+            ring = _QuotientRing(f, p)
         d += 1
-    if f.degree > 0:
-        out.append((f, f.degree))
+    if len(f) > 1:
+        out.append((f, len(f) - 1))
     return out
 
 
-def _random_poly(field, degree, rng):
-    cs = [rng.randrange(field.p) for _ in range(degree)]
-    cs.append(rng.randrange(1, field.p))
-    return Poly(field, cs)
-
-
-def _edf(f, d, rng):
-    """Equal-degree split: f is monic squarefree, all factors of degree d."""
-    if f.degree == d:
+def _edf(f, d, rng, field):
+    """Equal-degree split: f is monic squarefree raw, all factors of degree d."""
+    if len(f) - 1 == d:
         return [f]
-    p = f.field.p
+    p = field.p
+    ring = _QuotientRing(f, p)
     while True:
-        r = _random_poly(f.field, rng.randrange(f.degree), rng)
+        r = [rng.randrange(p) for _ in range(rng.randrange(len(f) - 1))]
+        r.append(rng.randrange(1, p))
         if p == 2:
-            acc = r
-            t = r
+            # canonical slots are bits, so adding mod 2 is XOR
+            acc = t = ring.pack(r)
             for _ in range(d - 1):
-                t = (t * t) % f
-                acc = (acc + t) % f
-            g = poly_gcd(f, acc)
+                t = ring.mul(t, t)
+                acc ^= t
+            g = _gcd_raw(f, ring.unpack(acc), field)
         else:
-            t = _pow_mod(r, (p**d - 1) // 2, f)
-            g = poly_gcd(f, t - 1)
-        if 0 < g.degree < f.degree:
-            return _edf(g, d, rng) + _edf(exact_div(f, g), d, rng)
+            t = ring.unpack(ring.pow(ring.pack(r), (p**d - 1) // 2))
+            g = _gcd_raw(f, _minus_monomial(t, 0, p), field)
+        if 1 < len(g) < len(f):
+            return _edf(g, d, rng, field) + _edf(_divrem_raw(f, g, field)[0], d, rng, field)
 
 
 def factor_fp(h, seed=None):
@@ -213,29 +270,19 @@ def factor_fp(h, seed=None):
     rng = random.Random(DEFAULT_SEED if seed is None else seed)
     factors = []
     for part, mult in _sqf_fp(f):
-        for prod, d in _ddf(part):
-            for q in _edf(prod, d, rng):
-                factors.append((q, mult))
+        for prod, d in _ddf(list(part.coeffs), h.field):
+            for q in _edf(prod, d, rng, h.field):
+                factors.append((Poly._make(h.field, q), mult))
     return Factorization(h.field, unit, factors)
 
 
 def is_irreducible_fp(h):
-    """Distinct-degree irreducibility test over F_p."""
+    """Irreducibility over F_p: the distinct-degree split of h is h alone (a
+    reducible h, squarefree or not, splits off a factor of degree <= deg h / 2)."""
     if not isinstance(h.field, PrimeField):
         raise UnsupportedField("irreducibility test is implemented over F_p only")
-    if h.degree < 1:
-        return False
-    if h.degree == 1:
-        return True
-    p = h.field.p
-    f = h.monic()
-    x = Poly.x(f.field)
-    u = x % f
-    for _ in range(f.degree // 2):
-        u = _pow_mod(u, p, f)
-        if not poly_gcd(f, u - x).is_unit():
-            return False
-    return True
+    f = list(h.monic().coeffs)
+    return h.degree >= 1 and _ddf(f, h.field) == [(f, h.degree)]
 
 
 def _primitive_int_coeffs(f):

@@ -182,7 +182,7 @@ class Poly:
     def _check(self, other):
         if not isinstance(other, Poly):
             raise TypeError(f"expected Poly, got {other!r}")
-        if other.field != self.field:
+        if other.field is not self.field and other.field != self.field:
             raise FieldMismatch(f"cannot mix {self.field!r} and {other.field!r}")
 
     def _coerce(self, other):
@@ -277,7 +277,7 @@ class Poly:
     def __eq__(self, other):
         return (
             isinstance(other, Poly)
-            and other.field == self.field
+            and (other.field is self.field or other.field == self.field)
             and other.coeffs == self.coeffs
         )
 

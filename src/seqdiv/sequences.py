@@ -205,8 +205,10 @@ def _solve_scalar(u, d):
 def oracle_term(params, n):
     """Recompute term(n) from the defining pair in the tower.
 
-    Shares nothing with the recurrence in term(): powers of the pair are
-    formed in the tower and the difference is divided back into K[x].
+    The oracle for term(): powers of the pair are formed in the tower, in
+    its own _lam/_eta caches, and the difference is divided back into K[x].
+    It may share only the polynomial layer: it never calls term() or reads
+    _apow, _bpow or the gcd table.
     """
     _check_index(n)
     if params.kind is SeqKind.POWER:
@@ -276,11 +278,12 @@ def _mobius_term_product(params, n):
 def cyclotomic_value(params, n):
     """The n-th cyclotomic form evaluated at the defining pair, for n >= 3.
 
-    power: direct evaluation at (a, b) on the cached powers of a and b, which
+    power: direct evaluation at (a, b) on the cached powers _apow/_bpow, which
     term(params, n) grows far enough (the form has degree phi(n) < n).
     lucas and lehmer: expressed through earlier terms by Moebius inversion,
-    which stays inside K[x].  Never reads the gcd table, so the cyclotomic
-    comparison stays independent of the stripping it checks.
+    which stays inside K[x].  It may share those powers and terms with the
+    stripping it checks, never a result of it: it must not read the gcd
+    table or call primitive_part.
     """
     if not isinstance(n, int) or n < 3:
         raise PreconditionViolated("cyclotomic comparison starts at index 3")

@@ -66,6 +66,21 @@ class TestGen:
         assert code == 2
         assert err.startswith("ConfigInvalid:")
 
+    def test_wide_prime_modulus(self, capsys):
+        code, out, _ = run(
+            capsys, "gen", "--kind", "lucas", "--field", "fp", "--p", str(2**61 - 1),
+            "--a", "x", "--b", "1", "--n", "3",
+        )
+        assert code == 0 and out.splitlines() == ["1", "x", "x^2+2305843009213693950"]
+
+    def test_modulus_above_the_primality_bound_exits_2(self, capsys):
+        code, out, err = run(
+            capsys, "gen", "--kind", "lucas", "--field", "fp", "--p", str(2**89 - 1),
+            "--a", "x", "--b", "1", "--n", "3",
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("NotPrime:") and "3317044064679887385961981" in err
+
     def test_parse_error_is_reported(self, capsys):
         code, _, err = run(
             capsys, "gen", "--kind", "lucas", "--field", "q", "--a", "x^^2",

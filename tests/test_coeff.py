@@ -1,10 +1,12 @@
+import pickle
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from seqdiv.coeff import PrimeField, Rationals, is_prime
+from seqdiv.coeff import PRIME_BOUND, PrimeField, Rationals, is_prime
 from seqdiv.errors import DivisionByZero, NotPrime, ParseError, WrongField
 
 
@@ -80,10 +82,43 @@ class TestPrimeField:
         assert PrimeField(5) != PrimeField(7)
         assert PrimeField(5) != Rationals()
 
+    def test_descriptors_are_interned(self):
+        assert PrimeField(5) is PrimeField(5)
+        assert PrimeField(5) is not PrimeField(7)
+        assert Rationals() is Rationals()
+        assert pickle.loads(pickle.dumps(PrimeField(5))) is PrimeField(5)
 
+    @pytest.mark.parametrize("p", [2.0, True, "5"])
+    def test_rejects_non_integer_moduli(self, p):
+        with pytest.raises(NotPrime):
+            PrimeField(p)
+
+    def test_wide_prime_is_accepted_quickly(self):
+        p = 2**61 - 1  # trial division to its square root takes minutes
+        start = time.perf_counter()
+        assert PrimeField(p).p == p
+        assert time.perf_counter() - start < 0.5
+
+
+# 2047 and 3215031751 are strong pseudoprimes to base 2 (the latter to bases
+# 2, 3, 5 and 7); 561 and 41041 are Carmichael numbers.
 @pytest.mark.parametrize(
     "n,expect",
-    [(2, True), (3, True), (4, False), (97, True), (91, False), (1, False)],
+    [
+        (2, True), (3, True), (4, False), (97, True), (91, False), (1, False),
+        (2047, False), (3215031751, False), (561, False), (41041, False),
+        (2**31 - 1, True), (2**61 - 1, True), ((2**31 - 1) * (10**9 + 7), False),
+    ],
 )
 def test_is_prime(n, expect):
     assert is_prime(n) is expect
+
+
+def test_is_prime_refuses_above_the_bound():
+    with pytest.raises(NotPrime, match=str(PRIME_BOUND)):
+        is_prime(2**89 - 1)
+
+
+@given(n=st.integers(0, 5000))
+def test_is_prime_matches_trial_division(n):
+    assert is_prime(n) is (n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1)))

@@ -19,7 +19,8 @@ from seqdiv.divisibility import (
     zsigmondy_failures,
 )
 from seqdiv.errors import PreconditionViolated, UnsupportedField, ValidationError
-from seqdiv.polyring import is_associated, monic, parse_poly, poly_gcd
+from seqdiv.factorization import factor_fp
+from seqdiv.polyring import Poly, is_associated, monic, parse_poly, poly_gcd
 from seqdiv.sequences import SeqKind, term, validate
 
 Q = Rationals()
@@ -340,6 +341,36 @@ class TestFactoredOracle:
         params = mk("lucas", Q, "x", "1")
         with pytest.raises(UnsupportedField):
             primitive_parts_factored(params, 6)
+
+    @given(data=st.data())
+    def test_incremental_oracle_matches_factoring_every_term(self, data):
+        field = data.draw(st.sampled_from([F2, F3, F5]))
+        kind = data.draw(st.sampled_from(list(SeqKind)))
+        a = data.draw(poly_strategy(field, 2, nonzero=True))
+        b = data.draw(poly_strategy(field, 2, nonzero=True))
+        try:
+            params = validate(kind, field, a, b)
+        except ValidationError:
+            assume(False)
+        n_max = data.draw(st.integers(1, 12))
+        parts = primitive_parts_factored(params, n_max)
+        assert not params._gcd  # the oracle never reads or fills the gcd table
+        assert parts == factored_from_scratch(params, n_max)
+
+
+def factored_from_scratch(params, n_max):
+    """Reference: factor every term in full, keep the factors not seen before."""
+    seen = set()
+    parts = {}
+    for n in range(1, n_max + 1):
+        factors = factor_fp(term(params, n)).factors
+        part = Poly.one(params.field)
+        for q, e in factors:
+            if q.coeffs not in seen:
+                part = part * q**e
+        parts[n] = part
+        seen.update(q.coeffs for q, _ in factors)
+    return parts
 
 
 class TestGcdTable:

@@ -392,6 +392,14 @@ class TestConfigParsing:
         assert main(["verify", "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith("ConfigInvalid:")
 
+    def test_modulus_above_the_primality_bound_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "campaign.json"
+        doc = json.loads(self.JSON_DOC)
+        doc["field"]["p"] = 2**89 - 1
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["verify", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("NotPrime:")
+
     def test_load_config(self, tmp_path):
         path = tmp_path / "campaign.cfg"
         path.write_text(self.FLAT, encoding="utf-8")
