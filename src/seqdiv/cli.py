@@ -27,7 +27,6 @@ from .verifier import (
     load_config,
     render_report,
     run_campaign,
-    validate_config,
 )
 
 __all__ = ["main"]
@@ -146,7 +145,6 @@ def cmd_verify(args):
             include_excluded=args.include_excluded,
             params=(pair,),
         )
-        validate_config(config)
     report = run_campaign(config)
     if args.json:
         print(json.dumps(report.to_json(), indent=2))
@@ -166,7 +164,7 @@ def cmd_cyclo(args):
 
 def cmd_resultant(args):
     value = resultant(power_sum_form(args.m), power_sum_form(args.n))
-    text = Rationals().format_scalar(value)
+    text = str(value)
     if args.json:
         print(json.dumps({"m": args.m, "n": args.n, "resultant": text}))
     else:
@@ -191,7 +189,7 @@ def cmd_factor(args):
                 {
                     "field": _field_json(field),
                     "input": str(h),
-                    "unit": field.format_scalar(fact.unit),
+                    "unit": str(fact.unit),
                     "factors": [{"factor": str(f), "exp": e} for f, e in fact.factors],
                 },
                 indent=2,

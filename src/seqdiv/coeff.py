@@ -1,14 +1,14 @@
 """Exact coefficient fields: arbitrary-precision rationals and prime fields.
 
-A field descriptor owns the raw value representation (``fractions.Fraction``
-for the rationals, canonical residues ``0..p-1`` for F_p) and all arithmetic
-on it; polynomial code works on raw values directly for speed.  Descriptors
-are interned, so a field check is an identity test.
+A field descriptor names the raw value representation (``fractions.Fraction``
+for the rationals, canonical residues ``0..p-1`` for F_p) and its literal
+syntax; the raw kernel in ``polyring`` does all arithmetic on those values.
+Descriptors are interned, so a field check is an identity test.
 """
 
 from fractions import Fraction
 
-from .errors import DivisionByZero, NotPrime, ParseError, WrongField
+from .errors import NotPrime, ParseError, WrongField
 
 
 # The first 13 primes as Miller-Rabin bases decide primality for every n
@@ -35,7 +35,6 @@ def is_prime(n):
 class Rationals:
     """Descriptor for Q with Fraction values (reduced, positive denominator); a singleton."""
 
-    kind = "q"
     char = 0
     zero = Fraction(0)
     one = Fraction(1)
@@ -52,35 +51,12 @@ class Rationals:
             return Fraction(v)
         raise WrongField(f"not a rational value: {v!r}")
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def inv(self, a):
-        if not a:
-            raise DivisionByZero("inverse of zero")
-        return 1 / a
-
-    def from_int(self, k):
-        return Fraction(k)
-
     def parse_scalar(self, text):
         """Parse ``int`` or ``int/uint`` literal syntax."""
         try:
             return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad rational literal {text!r}") from exc
-
-    def format_scalar(self, v):
-        return str(v)
 
     def __eq__(self, other):
         return isinstance(other, Rationals)
@@ -95,8 +71,9 @@ class Rationals:
 class PrimeField:
     """Descriptor for F_p with residues 0..p-1 as raw values; interned, one per p."""
 
-    kind = "fp"
     __slots__ = ("p", "char")
+    zero = 0
+    one = 1
     _interned = {}
 
     def __new__(cls, p):
@@ -110,39 +87,10 @@ class PrimeField:
     def __getnewargs__(self):  # pickle and copy return the interned instance
         return (self.p,)
 
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
-
     def normalize(self, v):
         if isinstance(v, int):
             return v % self.p
         raise WrongField(f"not an integer residue: {v!r}")
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return -a % self.p
-
-    def inv(self, a):
-        a %= self.p
-        if not a:
-            raise DivisionByZero("inverse of zero")
-        return pow(a, self.p - 2, self.p)
-
-    def from_int(self, k):
-        return k % self.p
 
     def parse_scalar(self, text):
         """Bare integers only; they reduce mod p."""
@@ -152,9 +100,6 @@ class PrimeField:
             return int(text) % self.p
         except ValueError as exc:
             raise ParseError(f"bad integer literal {text!r}") from exc
-
-    def format_scalar(self, v):
-        return str(v)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

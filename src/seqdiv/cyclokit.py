@@ -399,5 +399,5 @@ def eval_form_on_powers(a, u_pows, v_pows):
     for k, c in enumerate(a.coeffs):
         if c:
             term = u_pows[d - k] * v_pows[k]
-            acc = acc + term * Poly.const(field, field.from_int(c))
+            acc = acc + term * Poly.const(field, c)
     return acc

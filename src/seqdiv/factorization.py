@@ -78,7 +78,7 @@ class Factorization:
     def __str__(self):
         parts = []
         if self.unit != self.field.one or not self.factors:
-            parts.append(self.field.format_scalar(self.unit))
+            parts.append(str(self.unit))
         for f, e in self.factors:
             parts.append(f"({f})" if e == 1 else f"({f})^{e}")
         return "".join(parts)
@@ -151,32 +151,13 @@ def _minus_monomial(cs, k, p):
     return _strip(out)
 
 
-def _yun_q(f):
-    """Squarefree components of a monic polynomial over Q with multiplicities."""
-    out = []
-    d = poly_gcd(f, f.derivative())
-    c = exact_div(f, d)
-    w = exact_div(f.derivative(), d)
-    y = w - c.derivative()
-    i = 1
-    while not c.is_one():
-        g = poly_gcd(c, y)
-        if g.degree > 0:
-            out.append((g, i))
-        c = exact_div(c, g)
-        w = exact_div(y, g)
-        y = w - c.derivative()
-        i += 1
-    return out
+def _sqf(f):
+    """Squarefree components of a monic polynomial with multiplicities (Musser).
 
-
-def _pth_root_fp(f, p):
-    return Poly(f.field, [f.coeffs[i] for i in range(0, len(f.coeffs), p)])
-
-
-def _sqf_fp(f):
-    """Squarefree components of a monic polynomial over F_p with multiplicities."""
-    p = f.field.p
+    Over Q the first pass leaves g = 1.  Over F_p what is left is a p-th
+    power, whose p-th root is decomposed in turn with multiplicities scaled by p.
+    """
+    p = f.field.char
     out = []
     n = 1
     while True:
@@ -196,8 +177,7 @@ def _sqf_fp(f):
             if g.is_one():
                 return out
             f = g
-        # at this point f is a p-th power
-        f = _pth_root_fp(f, p)
+        f = Poly._make(f.field, list(f.coeffs[::p]))
         n *= p
 
 
@@ -209,8 +189,7 @@ def squarefree_decomp(h):
     f = h.monic()
     if f.degree < 1:
         return Factorization(h.field, unit, ())
-    parts = _sqf_fp(f) if h.field.char else _yun_q(f)
-    return Factorization(h.field, unit, parts)
+    return Factorization(h.field, unit, _sqf(f))
 
 
 def _ddf(f, field):
@@ -269,7 +248,7 @@ def factor_fp(h, seed=None):
         return Factorization(h.field, unit, ())
     rng = random.Random(DEFAULT_SEED if seed is None else seed)
     factors = []
-    for part, mult in _sqf_fp(f):
+    for part, mult in _sqf(f):
         for prod, d in _ddf(list(part.coeffs), h.field):
             for q in _edf(prod, d, rng, h.field):
                 factors.append((Poly._make(h.field, q), mult))

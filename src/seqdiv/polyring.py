@@ -413,25 +413,23 @@ def parse_poly(field, text):
         if star and (coef_txt is None or not has_x):
             raise ParseError(f"bad term {chunk!r} in {text!r}")
         c = field.parse_scalar(coef_txt) if coef_txt is not None else field.one
-        if sign < 0:
-            c = field.neg(c)
         e = 0
         if has_x:
             digits = (m.group("exp") or "1").lstrip("0") or "0"
             if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
                 raise ParseError(f"exponent in {chunk!r} exceeds {MAX_EXPONENT}")
             e = int(digits)
-        coeffs[e] = field.add(coeffs.get(e, field.zero), c)
+        coeffs[e] = coeffs.get(e, field.zero) + sign * c
         if nxt >= len(s):
             break
         if nxt == len(s) - 1:
             raise ParseError(f"dangling sign in {text!r}")
         sign = -1 if s[nxt] == "-" else 1
         pos = nxt + 1
-    raw = [field.zero] * (max(coeffs) + 1 if coeffs else 0)
+    raw = [field.zero] * (max(coeffs) + 1)
     for e, c in coeffs.items():
         raw[e] = c
-    return Poly._make(field, raw)
+    return Poly._make(field, _reduce(raw, field))
 
 
 def format_poly(a):
@@ -447,10 +445,10 @@ def format_poly(a):
         negative = field.char == 0 and c < 0
         mag = -c if negative else c
         if k == 0:
-            body = field.format_scalar(mag)
+            body = str(mag)
         else:
             xs = "x" if k == 1 else f"x^{k}"
-            body = xs if mag == field.one else f"{field.format_scalar(mag)}*{xs}"
+            body = xs if mag == field.one else f"{mag}*{xs}"
         if not out:
             out.append(("-" if negative else "") + body)
         else:

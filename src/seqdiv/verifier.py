@@ -16,7 +16,7 @@ from itertools import product
 from math import gcd as int_gcd
 from typing import Optional
 
-from .coeff import PrimeField, Rationals, is_prime
+from .coeff import PrimeField, Rationals
 from .divisibility import (
     coprime_pair_check,
     index_scaled_coprime_check,
@@ -26,10 +26,9 @@ from .divisibility import (
     sum_square_coprime_check,
     term_divisors,
     valuation_stability_check,
-    zsigmondy_check,
     zsigmondy_claimed,
 )
-from .errors import ConfigInvalid, OracleMismatch, ParseError, ValidationError
+from .errors import ConfigInvalid, NotPrime, OracleMismatch, ParseError, ValidationError
 from .polyring import Poly, format_poly, parse_poly, poly_gcd
 from .sequences import SeqKind, cyclotomic_value, oracle_term, term, validate
 
@@ -226,12 +225,12 @@ def _lead_representatives(field):
 def _random_poly(field, max_deg, rng):
     d = rng.randrange(max_deg + 1)
     if field.char:
-        p = field.p
-        tail = [rng.randrange(p) for _ in range(d)]
-        return Poly(field, tuple(tail) + (rng.randrange(1, p),))
-    tail = [field.from_int(rng.randint(-4, 4)) for _ in range(d)]
-    lead = rng.randint(1, 4) * rng.choice((1, -1))
-    return Poly(field, tuple(tail) + (field.from_int(lead),))
+        tail = [rng.randrange(field.p) for _ in range(d)]
+        lead = rng.randrange(1, field.p)
+    else:
+        tail = [rng.randint(-4, 4) for _ in range(d)]
+        lead = rng.randint(1, 4) * rng.choice((1, -1))
+    return Poly(field, tail + [lead])
 
 
 def enumerate_params(config):
@@ -300,7 +299,7 @@ def enumerate_params(config):
 
 def _reports(params, config, ctx):
     if "reports" not in ctx:
-        ctx["reports"] = zsigmondy_check(params, config.n_max)
+        ctx["reports"] = [primitive_part(params, n) for n in range(1, config.n_max + 1)]
     return ctx["reports"]
 
 
@@ -400,16 +399,10 @@ def _run_oracle_equivalence(params, config, ctx):
             yield {"n": n}, ok, detail
     if params.field.char:
         parts = primitive_parts_factored(params, config.n_max)
-        reports = _reports(params, config, ctx) if config.n_max >= 3 else None
-        for n in range(1, config.n_max + 1):
-            stripped = (
-                reports[n - 1].primitive_part
-                if reports
-                else primitive_part(params, n).primitive_part
-            )
-            ok = stripped == parts[n]
-            detail = "" if ok else f"stripped = {stripped}, factored = {parts[n]}"
-            yield {"n": n}, ok, detail
+        for r in _reports(params, config, ctx):
+            ok = r.primitive_part == parts[r.n]
+            detail = "" if ok else f"stripped = {r.primitive_part}, factored = {parts[r.n]}"
+            yield {"n": r.n}, ok, detail
 
 
 _RUNNERS = {
@@ -482,10 +475,10 @@ def _field_from_desc(fdesc):
     if kind_text == "fp":
         if fdesc.get("p") is None:
             raise ConfigInvalid("prime field needs p")
-        p_value = _json_int(fdesc, "p")
-        if not is_prime(p_value):
-            raise ConfigInvalid(f"{p_value} is not prime")
-        return PrimeField(p_value)
+        try:
+            return PrimeField(_json_int(fdesc, "p"))
+        except NotPrime as exc:
+            raise ConfigInvalid(str(exc)) from exc
     raise ConfigInvalid(f"unknown field type {kind_text!r}")
 
 

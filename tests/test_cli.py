@@ -216,6 +216,14 @@ class TestVerify:
         )
         assert code == 2 and err.startswith("ConfigInvalid:")
 
+    def test_inline_index_bound_is_checked_by_the_campaign(self, capsys):
+        code, out, err = run(
+            capsys, "verify", "--kind", "power", "--field", "fp", "--p", "3",
+            "--a", "x+1", "--b", "x", "--n-max", "2",
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("ConfigInvalid:")
+
     def test_inline_needs_pair(self, capsys):
         code, _, err = run(capsys, "verify", "--kind", "lucas")
         assert code == 2 and err.startswith("ConfigInvalid:")

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from seqdiv.coeff import PRIME_BOUND, PrimeField, Rationals, is_prime
-from seqdiv.errors import DivisionByZero, NotPrime, ParseError, WrongField
+from seqdiv.errors import NotPrime, ParseError, WrongField
 
 
 class TestRationals:
@@ -22,23 +22,8 @@ class TestRationals:
         with pytest.raises(WrongField):
             rationals.normalize(1.5)
 
-    @given(num=st.integers(-50, 50), den=st.integers(1, 20))
-    def test_field_laws(self, rationals, num, den):
-        a = Fraction(num, den)
-        b = Fraction(7, 3)
-        assert rationals.add(a, rationals.neg(a)) == rationals.zero
-        assert rationals.mul(a, rationals.one) == a
-        assert rationals.sub(a, b) == rationals.add(a, rationals.neg(b))
-        if a:
-            assert rationals.mul(a, rationals.inv(a)) == rationals.one
-
-    def test_inverse_of_zero(self, rationals):
-        with pytest.raises(DivisionByZero):
-            rationals.inv(Fraction(0))
-
     def test_scalar_parsing(self, rationals):
         assert rationals.parse_scalar("-3/6") == Fraction(-1, 2)
-        assert rationals.format_scalar(Fraction(-1, 2)) == "-1/2"
         with pytest.raises(ParseError):
             rationals.parse_scalar("1/0")
         with pytest.raises(ParseError):
@@ -54,22 +39,6 @@ class TestPrimeField:
     def test_rejects_composites(self, n):
         with pytest.raises(NotPrime):
             PrimeField(n)
-
-    @given(a=st.integers(-30, 30), b=st.integers(-30, 30))
-    def test_mod_arithmetic(self, a, b):
-        f = PrimeField(7)
-        assert f.add(f.normalize(a), f.normalize(b)) == (a + b) % 7
-        assert f.mul(f.normalize(a), f.normalize(b)) == (a * b) % 7
-        assert f.sub(f.normalize(a), f.normalize(b)) == (a - b) % 7
-
-    @given(a=st.integers(1, 6))
-    def test_inverses(self, a):
-        f = PrimeField(7)
-        assert f.mul(a, f.inv(a)) == 1
-
-    def test_inverse_of_zero(self):
-        with pytest.raises(DivisionByZero):
-            PrimeField(5).inv(0)
 
     def test_no_fraction_literals(self):
         f = PrimeField(5)

@@ -192,6 +192,7 @@ class TestParseFormat:
             ("0", "0"),
             ("2*x^2 - x + 1", "2*x^2-x+1"),
             ("2x", "2*x"),
+            ("x-x", "0"),
         ],
     )
     def test_canonical_q(self, rationals, text, canon):
@@ -199,6 +200,8 @@ class TestParseFormat:
 
     def test_canonical_fp(self, f5):
         assert format_poly(parse_poly(f5, "-x+7")) == "4*x+2"
+        assert format_poly(parse_poly(f5, "x^2+4*x^2+x")) == "x"
+        assert format_poly(parse_poly(f5, "5*x^3+1")) == "1"
 
     @pytest.mark.parametrize("bad", ["", "x^^2", "x^", "^2", "x**2", "x+", "(x+1)"])
     def test_parse_rejects(self, rationals, bad):

@@ -60,6 +60,8 @@ class TestValidate:
     def test_ratio_over_q_needs_plus_minus_one(self):
         with pytest.raises(RatioRootOfUnity):
             mk("power", Q, "x", "-x")
+        with pytest.raises(RatioRootOfUnity):
+            mk("power", Q, "x+1", "x+1")
 
     def test_lucas_lehmer_skip_ratio_test(self):
         # a = b is fine for the recurrence kinds as long as the pair is

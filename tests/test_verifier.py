@@ -3,7 +3,7 @@ import json
 import pytest
 
 from seqdiv.cli import main
-from seqdiv.coeff import PrimeField, Rationals
+from seqdiv.coeff import PRIME_BOUND, PrimeField, Rationals
 from seqdiv.errors import ConfigInvalid
 from seqdiv.polyring import parse_poly
 from seqdiv.sequences import SeqKind
@@ -242,6 +242,25 @@ class TestCampaigns:
         assert report.ok
         assert report.params_admitted == 2
 
+    @pytest.mark.parametrize("n_max", [1, 2, 3])
+    @pytest.mark.parametrize("kind,per_n", [(SeqKind.POWER, 1), (SeqKind.LEHMER, 2)])
+    def test_oracle_equivalence_at_small_n_max(self, kind, per_n, n_max):
+        # lehmer runs the tower oracle and the factored primitive part per
+        # index, power only the latter
+        pair = (parse_poly(F3, "x+1"), parse_poly(F3, "x"))
+        cfg = config(
+            field=F3,
+            kinds=(kind,),
+            enumeration=None,
+            params=(pair,),
+            checks=("oracle_equivalence",),
+            n_max=n_max,
+            m_max=n_max,
+        )
+        report = run_campaign(cfg)
+        assert report.cases_run == per_n * n_max
+        assert report.failures == []
+
 
 class TestConfigParsing:
     FLAT = """
@@ -398,7 +417,8 @@ class TestConfigParsing:
         doc["field"]["p"] = 2**89 - 1
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["verify", "--config", str(path)]) == 2
-        assert capsys.readouterr().err.startswith("NotPrime:")
+        err = capsys.readouterr().err
+        assert err.startswith("ConfigInvalid:") and str(PRIME_BOUND) in err
 
     def test_load_config(self, tmp_path):
         path = tmp_path / "campaign.cfg"
