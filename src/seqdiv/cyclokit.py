@@ -37,7 +37,6 @@ __all__ = [
     "resultant",
     "power_sum_resultant_check",
     "eval_form",
-    "eval_form_on_powers",
     "divisors",
     "mobius",
     "euler_phi",
@@ -116,10 +115,6 @@ class BivarForm:
     def zero(cls):
         return cls(0, (0,))
 
-    @classmethod
-    def const(cls, c):
-        return cls(0, (int(c),))
-
     def is_zero(self):
         return self.degree == 0 and self.coeffs[0] == 0
 
@@ -168,9 +163,6 @@ class BivarForm:
                 for j, bj in enumerate(b):
                     out[i + j] += ai * bj
         return BivarForm(self.degree + other.degree, out)
-
-    def to_json(self):
-        return {"degree": self.degree, "coeffs": [str(c) for c in self.coeffs]}
 
     def __repr__(self):
         return f"BivarForm({self.degree}, {self.coeffs!r})"
@@ -381,23 +373,14 @@ def eval_form(a, u, v):
     """Evaluate an integer form at a pair of polynomials over a common field."""
     u._check(v)
     field = u.field
-    if a.is_zero():
-        return Poly.zero(field)
+    d = a.degree
     u_pows = [Poly.one(field)]
     v_pows = [Poly.one(field)]
-    for _ in range(a.degree):
+    for _ in range(d):
         u_pows.append(u_pows[-1] * u)
         v_pows.append(v_pows[-1] * v)
-    return eval_form_on_powers(a, u_pows, v_pows)
-
-
-def eval_form_on_powers(a, u_pows, v_pows):
-    """Evaluate a nonzero form from the powers u^k and v^k, k = 0..degree at least."""
-    field = u_pows[0].field
-    d = a.degree
     acc = Poly.zero(field)
     for k, c in enumerate(a.coeffs):
         if c:
-            term = u_pows[d - k] * v_pows[k]
-            acc = acc + term * Poly.const(field, c)
+            acc = acc + u_pows[d - k] * v_pows[k] * Poly.const(field, c)
     return acc

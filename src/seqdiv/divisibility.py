@@ -174,8 +174,8 @@ def primitive_part(params, n, with_primes=False):
 
 def zsigmondy_check(params, n_max, with_primes=False):
     """Primitive-divisor reports for every index 1 <= n <= n_max."""
-    if n_max < 3:
-        raise PreconditionViolated("n_max must be at least 3")
+    if n_max < 1:
+        raise PreconditionViolated("n_max must be at least 1")
     return [primitive_part(params, n, with_primes=with_primes) for n in range(1, n_max + 1)]
 
 

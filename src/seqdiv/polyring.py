@@ -26,8 +26,6 @@ from .errors import (
 
 __all__ = [
     "Poly",
-    "MonicIdeal",
-    "poly_divrem",
     "exact_div",
     "poly_gcd",
     "monic",
@@ -294,11 +292,6 @@ class Poly:
         return format_poly(self)
 
 
-def poly_divrem(a, b):
-    """Quotient and remainder with deg r < deg b."""
-    return divmod(a, b)
-
-
 def exact_div(a, b):
     """a / b when b | a exactly; NotDivisible otherwise."""
     q, r = divmod(a, b)
@@ -344,30 +337,6 @@ def valuation(q, h):
             return e
         h = qq
         e += 1
-
-
-class MonicIdeal:
-    """An ideal of K[x], identified by its unique monic (or zero) generator."""
-
-    __slots__ = ("generator",)
-
-    def __init__(self, generator):
-        object.__setattr__(self, "generator", generator.monic())
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MonicIdeal is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, MonicIdeal) and other.generator == self.generator
-
-    def __hash__(self):
-        return hash(("ideal", self.generator))
-
-    def __repr__(self):
-        return f"MonicIdeal({self.generator!r})"
-
-    def __str__(self):
-        return f"<{self.generator}>"
 
 
 # --- text syntax ------------------------------------------------------------

@@ -17,7 +17,7 @@ catch a bug in the other.
 
 from enum import Enum
 
-from .cyclokit import cyclotomic_form, divisors, eval_form_on_powers, mobius
+from .cyclokit import divisors, mobius
 from .errors import (
     BothUnits,
     FieldMismatch,
@@ -36,7 +36,6 @@ __all__ = [
     "validate",
     "term",
     "oracle_term",
-    "mobius_product",
     "cyclotomic_value",
 ]
 
@@ -51,8 +50,9 @@ class SeqParams:
     """A validated parameter pair plus growable per-sequence caches.
 
     _terms holds term(n) by index, _apow and _bpow the powers of a and b
-    (power kind), _lam and _eta the tower powers of the oracle, and _gcd the
-    monic gcd(term(m), term(n)) keyed by (m, n) with m <= n, filled by the
+    from which term builds the power kind (nothing else reads them), _lam
+    and _eta the tower powers of the oracle, and _gcd the monic
+    gcd(term(m), term(n)) keyed by (m, n) with m <= n, filled by the
     divisibility checks.
     """
 
@@ -246,25 +246,19 @@ def oracle_term(params, n):
     return _solve_scalar(u, div)
 
 
-def mobius_product(params, n):
-    """The Moebius-alternating product of terms over the divisors of n.
+def cyclotomic_value(params, n):
+    """The n-th cyclotomic form evaluated at the defining pair, for n >= 3.
 
-    For the lehmer kind this is the cyclotomic part of term(n): the products
-    of (term(d))^(mu(n/d)) assemble back to term(n) over the divisor lattice,
-    and the n-th part equals the n-th cyclotomic form evaluated at the
-    defining pair.  Indices 1 and 2 are defined as 1.
+    For every kind this is the Moebius product of term(d)^mu(n/d) over the
+    divisors d of n: the forms over the divisors multiply to X^n - Y^n over
+    Z, so the quotient is exact (no term of an admissible pair is zero), and
+    for n >= 3 the normalising factors of the kinds cancel.  It may share the
+    terms with the stripping it checks, never a result of it: it must not
+    read the gcd table or call primitive_part.
     """
-    _check_index(n)
-    if params.kind is not SeqKind.LEHMER:
-        raise PreconditionViolated("mobius_product is defined for the lehmer kind")
-    if n <= 2:
-        return Poly.one(params.field)
-    return _mobius_term_product(params, n)
-
-
-def _mobius_term_product(params, n):
-    num = Poly.one(params.field)
-    den = Poly.one(params.field)
+    if not isinstance(n, int) or n < 3:
+        raise PreconditionViolated("cyclotomic comparison starts at index 3")
+    num = den = Poly.one(params.field)
     for d in divisors(n):
         mu = mobius(n // d)
         if mu == 1:
@@ -272,21 +266,3 @@ def _mobius_term_product(params, n):
         elif mu == -1:
             den = den * term(params, d)
     return exact_div(num, den)
-
-
-def cyclotomic_value(params, n):
-    """The n-th cyclotomic form evaluated at the defining pair, for n >= 3.
-
-    power: direct evaluation at (a, b) on the cached powers _apow/_bpow, which
-    term(params, n) grows far enough (the form has degree phi(n) < n).
-    lucas and lehmer: expressed through earlier terms by Moebius inversion,
-    which stays inside K[x].  It may share those powers and terms with the
-    stripping it checks, never a result of it: it must not read the gcd
-    table or call primitive_part.
-    """
-    if not isinstance(n, int) or n < 3:
-        raise PreconditionViolated("cyclotomic comparison starts at index 3")
-    if params.kind is SeqKind.POWER:
-        term(params, n)
-        return eval_form_on_powers(cyclotomic_form(n), params._apow, params._bpow)
-    return _mobius_term_product(params, n)

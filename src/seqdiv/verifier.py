@@ -20,12 +20,12 @@ from .coeff import PrimeField, Rationals
 from .divisibility import (
     coprime_pair_check,
     index_scaled_coprime_check,
-    primitive_part,
     primitive_parts_factored,
     strong_div_check,
     sum_square_coprime_check,
     term_divisors,
     valuation_stability_check,
+    zsigmondy_check,
     zsigmondy_claimed,
 )
 from .errors import ConfigInvalid, NotPrime, OracleMismatch, ParseError, ValidationError
@@ -299,7 +299,7 @@ def enumerate_params(config):
 
 def _reports(params, config, ctx):
     if "reports" not in ctx:
-        ctx["reports"] = [primitive_part(params, n) for n in range(1, config.n_max + 1)]
+        ctx["reports"] = zsigmondy_check(params, config.n_max)
     return ctx["reports"]
 
 

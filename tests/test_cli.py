@@ -158,6 +158,22 @@ class TestPrimitive:
         code, _, err = run(capsys, *base, "--n", "3", "--n-max", "6")
         assert code == 2 and err.startswith("ConfigInvalid:")
 
+    def test_range_below_the_first_claim(self, capsys):
+        base = [
+            "primitive", "--kind", "power", "--field", "fp", "--p", "3",
+            "--a", "x+1", "--b", "x",
+        ]
+        singles = []
+        for n in ("1", "2"):
+            code, out, _ = run(capsys, *base, "--n", n)
+            assert code == 0
+            singles.append(out.strip())
+        code, out, _ = run(capsys, *base, "--n-max", "2")
+        assert code == 0
+        assert out.splitlines() == singles
+        code, _, err = run(capsys, *base, "--n-max", "0")
+        assert code == 2 and err.startswith("PreconditionViolated:")
+
 
 class TestVerify:
     INLINE = [

@@ -172,7 +172,8 @@ class TestZsigmondy:
     def test_requires_room_for_a_claim(self):
         params = mk("lucas", Q, "x", "1")
         with pytest.raises(PreconditionViolated):
-            zsigmondy_check(params, 2)
+            zsigmondy_check(params, 0)
+        assert [r.n for r in zsigmondy_check(params, 2)] == [1, 2]
 
     def test_clean_run_q(self):
         params = mk("lucas", Q, "x", "1")

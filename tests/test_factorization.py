@@ -148,7 +148,5 @@ class TestLowDegreeFactorsQ:
 
 
 def valuation_divides(f, h):
-    from seqdiv.polyring import poly_divrem
-
-    _, r = poly_divrem(h, f)
+    _, r = divmod(h, f)
     return r.is_zero()

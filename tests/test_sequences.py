@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from seqdiv.coeff import PrimeField, Rationals
@@ -10,6 +10,7 @@ from seqdiv.errors import (
     NotCoprime,
     PreconditionViolated,
     RatioRootOfUnity,
+    ValidationError,
     ZeroParameter,
 )
 from seqdiv.polyring import Poly, parse_poly
@@ -17,7 +18,6 @@ from seqdiv.sequences import (
     SeqKind,
     SeqParams,
     cyclotomic_value,
-    mobius_product,
     oracle_term,
     term,
     validate,
@@ -166,27 +166,27 @@ class TestCyclotomicValue:
 
     def test_lehmer_frozen(self):
         params = mk("lehmer", Q, "x", "1")
-        assert str(mobius_product(params, 6)) == "x-3"
+        assert str(cyclotomic_value(params, 6)) == "x-3"
         assert str(cyclotomic_value(params, 4)) == "x-2"
-        assert str(mobius_product(params, 1)) == "1"
-        assert str(mobius_product(params, 2)) == "1"
 
-    def test_power_is_form_evaluation(self):
-        params = mk("power", Q, "x+1", "x")
-        for n in range(3, 13):
-            assert cyclotomic_value(params, n) == eval_form(
-                cyclotomic_form(n), params.a, params.b
-            )
+    @given(data=st.data())
+    def test_power_is_form_evaluation(self, data):
+        # the Moebius product over the terms against the definition: the
+        # integer cyclotomic form evaluated at the pair
+        field = data.draw(st.sampled_from([PrimeField(2), PrimeField(3), PrimeField(5), Q]))
+        a = data.draw(poly_strategy(field, 2, nonzero=True))
+        b = data.draw(poly_strategy(field, 2, nonzero=True))
+        try:
+            params = validate(SeqKind.POWER, field, a, b)
+        except ValidationError:
+            assume(False)
+        n = data.draw(st.integers(3, 20))
+        assert cyclotomic_value(params, n) == eval_form(cyclotomic_form(n), a, b)
 
     def test_starts_at_three(self):
         params = mk("lucas", Q, "x", "1")
         with pytest.raises(PreconditionViolated):
             cyclotomic_value(params, 2)
-
-    def test_mobius_product_is_lehmer_only(self):
-        params = mk("lucas", Q, "x", "1")
-        with pytest.raises(PreconditionViolated):
-            mobius_product(params, 6)
 
     @pytest.mark.parametrize(
         "kind,a,b",
