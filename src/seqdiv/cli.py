@@ -24,6 +24,7 @@ from .verifier import (
     ALL_CHECKS,
     CampaignConfig,
     _field_json,
+    _flat_int,
     load_config,
     render_report,
     run_campaign,
@@ -55,10 +56,7 @@ def _resolve_seed(args):
     raw = os.environ.get("SEQ_SEED")
     if raw is None:
         return DEFAULT_SEED
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigInvalid(f"SEQ_SEED must be an integer, got {raw!r}")
+    return _flat_int("SEQ_SEED", raw)
 
 
 def _bool(v):

@@ -21,13 +21,10 @@ from .errors import (
     NotDivisible,
     ZeroArgument,
 )
-from .polyring import Poly
+from .polyring import Poly, _strip
 
 __all__ = [
     "BivarForm",
-    "form_add",
-    "form_sub",
-    "form_mul",
     "form_exact_div",
     "power_sum_form",
     "cyclotomic_form",
@@ -191,24 +188,22 @@ class BivarForm:
         return "".join(out)
 
 
-def form_add(a, b):
-    return a + b
-
-
-def form_sub(a, b):
-    return a - b
-
-
-def form_mul(a, b):
-    return a * b
-
-
-def _y_poly(coeffs):
-    """Coefficient tuple as an integer polynomial in Y (X set to 1)."""
-    ys = list(coeffs)
-    while ys and ys[-1] == 0:
-        ys.pop()
-    return ys
+def _exact_quotient_z(a, b):
+    """Quotient of integer coefficient lists (lowest first, b[-1] != 0) over Z,
+    or None when b does not divide a over Z."""
+    n = len(b) - 1
+    lead = b[-1]
+    r = list(a)
+    q = [0] * max(len(a) - n, 0)
+    for k in range(len(a) - 1 - n, -1, -1):
+        c, m = divmod(r[n + k], lead)
+        if m:
+            return None
+        if c:
+            q[k] = c
+            for i in range(n):
+                r[i + k] -= c * b[i]
+    return None if any(r[:n]) else q
 
 
 def form_exact_div(a, b):
@@ -217,25 +212,10 @@ def form_exact_div(a, b):
         raise DivisionByZero("division by the zero form")
     if a.is_zero():
         return BivarForm.zero()
-    if b.degree > a.degree:
-        raise NotDivisible("quotient would have negative degree")
-    ya, yb = _y_poly(a.coeffs), _y_poly(b.coeffs)
-    if len(ya) < len(yb):
-        raise NotDivisible("divisor has a higher power of Y")
-    q = [0] * (len(ya) - len(yb) + 1)
-    r = list(ya)
-    lead = yb[-1]
-    for k in range(len(ya) - len(yb), -1, -1):
-        c = r[len(yb) - 1 + k]
-        if c:
-            if c % lead:
-                raise NotDivisible("non-integral quotient coefficient")
-            c //= lead
-            q[k] = c
-            for i in range(len(yb)):
-                r[i + k] -= c * yb[i]
-    if any(r):
-        raise NotDivisible("nonzero remainder")
+    # with X set to 1 a form is an integer polynomial in Y
+    q = _exact_quotient_z(_strip(list(a.coeffs)), _strip(list(b.coeffs)))
+    if q is None:
+        raise NotDivisible("the divisor does not divide the form")
     dq = a.degree - b.degree
     if len(q) - 1 > dq:
         raise NotDivisible("divisor has a higher power of X")

@@ -232,13 +232,13 @@ def valuation_stability_check(params, q, n, m):
     return valuation(q, term(params, m * n)) == vn
 
 
-def term_divisors(params, n, max_degree=2):
+def term_divisors(params, n):
     """Irreducible divisors of term(n): all of them over F_p, those of
-    degree <= max_degree over Q."""
+    degree <= 2 over Q."""
     t = term(params, n)
     if params.field.char:
         return [q for q, _ in factor_fp(t).factors]
-    return low_degree_factors_q(t, max_degree=max_degree)
+    return low_degree_factors_q(t)
 
 
 def sum_square_coprime_check(params, n):

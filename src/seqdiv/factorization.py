@@ -12,6 +12,12 @@ The distinct- and equal-degree steps work on raw lists in one
 ``_QuotientRing`` F_p[x]/(f) per monic modulus f: Kronecker substitution packs
 each operand into one int, so a product is one multiply, then its slots are
 reduced mod p and mod f.
+
+Over Q only the divisors of degree 1 and 2 are searched for, on the
+primitive integer form c of the squarefree part.  By Gauss's lemma a
+primitive integer polynomial divides c over Q exactly when it divides c over
+Z, so each candidate allowed by the divisors of lead(c), c(0) and c(1) is
+tested by one exact division over Z.
 """
 
 import math
@@ -19,7 +25,7 @@ import random
 from fractions import Fraction
 
 from .coeff import PrimeField, Rationals
-from .cyclokit import divisors
+from .cyclokit import _exact_quotient_z, divisors
 from .errors import UnsupportedField, ZeroArgument
 from .polyring import Poly, _divrem_raw, _gcd_raw, _strip, exact_div, poly_gcd
 
@@ -279,77 +285,54 @@ def _primitive_int_coeffs(f):
     return ints
 
 
-def _is_square(n):
-    if n < 0:
-        return False
-    r = math.isqrt(n)
-    return r * r == n
+def _signed_divisors(n):
+    return [s for d in divisors(abs(n)) for s in (d, -d)]
 
 
-def low_degree_factors_q(h, max_degree=2):
-    """All monic irreducible divisors of h over Q of degree <= max_degree (<= 2).
+def low_degree_factors_q(h):
+    """All monic irreducible divisors of h over Q of degree 1 or 2.
 
-    Linear factors come from the rational root theorem on the primitive
-    integer form of the squarefree part; quadratic factors from divisor
-    interpolation through the values at 0, 1 and -1.  Both searches are
-    complete for their degree, so no general factorization is needed.
+    The search runs on c, the primitive integer form of the squarefree part
+    of h.  By Gauss's lemma a primitive integer q divides c over Q exactly
+    when it divides c over Z, and then lead(q) | lead(c), q(0) | c(0) and
+    q(1) | c(1).  So the linear candidates u*x + v have u | lead(c) and
+    v | c(0), and each one found is divided out of c.  With every rational
+    root gone, c(0) and c(1) are nonzero, and a quadratic c2*x^2 + c1*x + c0
+    has c2 | lead(c), c0 | c(0) and c2 + c1 + c0 | c(1).  Every candidate is
+    tested by exact division over Z; a candidate that is not primitive, or a
+    reducible quadratic, cannot divide c, so the division rejects it too.
     """
     if not isinstance(h.field, Rationals):
         raise UnsupportedField("rational divisor search needs a polynomial over Q")
     if h.is_zero():
         raise ZeroArgument("zero polynomial")
-    if max_degree not in (1, 2):
-        raise ValueError("only degrees 1 and 2 are supported")
     if h.degree < 1:
         return []
-    s = exact_div(h, poly_gcd(h, h.derivative())).monic()
+    c = _primitive_int_coeffs(exact_div(h, poly_gcd(h, h.derivative())))
     found = []
-    x = Poly.x(h.field)
+    if c[0] == 0:
+        found.append(Poly.x(h.field))
+        c = c[1:]
 
-    # linear: strip powers of x, then rational roots
-    if s.coeffs[0] == 0:
-        found.append(x)
-        while s.coeffs[0] == 0:
-            s = exact_div(s, x)
-    if s.degree >= 1:
-        ints = _primitive_int_coeffs(s)
-        roots = set()
-        for num in divisors(abs(ints[0])):
-            for den in divisors(abs(ints[-1])):
-                for r in (Fraction(num, den), Fraction(-num, den)):
-                    if r not in roots and s(r) == 0:
-                        roots.add(r)
-        for r in sorted(roots):
-            lin = x - Poly.const(h.field, r)
-            found.append(lin)
-            s = exact_div(s, lin)
+    linear = []
+    leads, consts = divisors(c[-1]), _signed_divisors(c[0])
+    for u in leads:
+        for v in consts:
+            q = _exact_quotient_z(c, [v, u])
+            if q is not None:
+                linear.append(Fraction(v, u))
+                c = q
+    found.extend(Poly(h.field, [v, 1]) for v in sorted(linear, reverse=True))
 
-    if max_degree >= 2 and s.degree >= 2:
-        cz = _primitive_int_coeffs(s)
-        c = Poly(h.field, cz)
-        v0, v1, vm1 = int(c(0)), int(c(1)), int(c(-1))
-        seen = set()
-        for d0s in divisors(abs(v0)):
-            for d0 in (d0s, -d0s):
-                for d1s in divisors(abs(v1)):
-                    for d1 in (d1s, -d1s):
-                        for dm1s in divisors(abs(vm1)):
-                            for dm1 in (dm1s, -dm1s):
-                                if (d1 + dm1) % 2:
-                                    continue
-                                c1 = (d1 - dm1) // 2
-                                c2 = (d1 + dm1) // 2 - d0
-                                if c2 <= 0:
-                                    continue
-                                if math.gcd(math.gcd(abs(d0), abs(c1)), c2) != 1:
-                                    continue
-                                if _is_square(c1 * c1 - 4 * c2 * d0):
-                                    continue
-                                cand = Poly(h.field, [d0, c1, c2])
-                                key = cand.monic().coeffs
-                                if key in seen:
-                                    continue
-                                if not (c % cand):
-                                    seen.add(key)
-        found.extend(Poly(h.field, k) for k in sorted(seen))
+    quadratic = []
+    leads, consts, values = divisors(c[-1]), _signed_divisors(c[0]), _signed_divisors(sum(c))
+    for c2 in leads:
+        for c0 in consts:
+            for d1 in values:
+                cand = [c0, d1 - c2 - c0, c2]
+                q = _exact_quotient_z(c, cand)
+                if q is not None:
+                    quadratic.append(tuple(Fraction(k, c2) for k in cand))
+                    c = q
+    found.extend(Poly(h.field, k) for k in sorted(quadratic))
     return found

@@ -468,6 +468,13 @@ def _json_int(doc, key, default=None):
     return value
 
 
+def _json_strings(key, value):
+    """value as a JSON list of strings."""
+    if type(value) is not list or not all(type(v) is str for v in value):
+        raise ConfigInvalid(f"{key} must be a list of strings, got {value!r}")
+    return value
+
+
 def _field_from_desc(fdesc):
     kind_text = fdesc["type"]
     if kind_text == "q":
@@ -508,9 +515,11 @@ def _parse_checks(values):
 
 
 def _parse_param_pairs(field, pairs):
+    if type(pairs) is not list:
+        raise ConfigInvalid(f"params must be a list of [a, b] pairs, got {pairs!r}")
     out = []
     for pair in pairs:
-        if len(pair) != 2:
+        if len(_json_strings("a params entry", pair)) != 2:
             raise ConfigInvalid("parameter entries must be [a, b] pairs")
         try:
             out.append((parse_poly(field, pair[0]), parse_poly(field, pair[1])))
@@ -526,7 +535,8 @@ def parse_config(text):
     enumeration {"type": "exhaustive"} or {"type": "random", "count", "seed"},
     n_max, m_max, checks (names or "all"), include_excluded, params (pairs of
     polynomial strings).  p, max_param_degree, n_max, m_max, count and seed
-    must be JSON integers and include_excluded a JSON boolean.  The
+    must be JSON integers, include_excluded a JSON boolean, kinds and checks
+    lists of strings, and params a list of two-string lists.  The
     key=value format takes one key per line with # comments; lists are
     comma-separated, params entries are semicolon-separated "a,b" pairs,
     enumeration is "exhaustive" or "random:count:seed", integers are
@@ -571,8 +581,8 @@ def _config_from_dict(doc):
     if not isinstance(fdesc, dict) or "type" not in fdesc:
         raise ConfigInvalid('field must be {"type": "q"} or {"type": "fp", "p": ...}')
     field = _field_from_desc(fdesc)
-    kinds = _parse_kinds(doc.get("kinds", []))
-    checks = _parse_checks(doc.get("checks", []))
+    kinds = _parse_kinds(_json_strings("kinds", doc.get("kinds", [])))
+    checks = _parse_checks(_json_strings("checks", doc.get("checks", [])))
     enum_desc = doc.get("enumeration", {"type": "exhaustive"})
     if not isinstance(enum_desc, dict):
         raise ConfigInvalid("enumeration must be an object with a type")

@@ -224,6 +224,19 @@ class TestVerify:
         assert code == 0
         assert "params: 6 admitted, 3 rejected" in out
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [("kinds", 5), ("checks", 7), ("params", 5), ("params", [["x", 5]]), ("params", ["x1"])],
+    )
+    def test_json_config_list_of_wrong_shape_exits_2(self, capsys, tmp_path, key, value):
+        doc = {"field": {"type": "q"}, "kinds": ["lucas"], "checks": ["strong_div"]}
+        doc[key] = value
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, "verify", "--config", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("ConfigInvalid:")
+
     def test_config_and_inline_conflict(self, capsys, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("field = q\nkinds = lucas\nchecks = all\nparams = x,1\n")
@@ -317,6 +330,13 @@ class TestSeedHandling:
 
     def test_env_seed_must_be_integer(self, capsys, monkeypatch):
         monkeypatch.setenv("SEQ_SEED", "banana")
+        code, _, err = run(capsys, *self.ARGS)
+        assert code == 2
+        assert err.startswith("ConfigInvalid:")
+
+    @pytest.mark.parametrize("raw", ["1_000", " 7", "٣"])
+    def test_env_seed_must_be_plain_decimal(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv("SEQ_SEED", raw)
         code, _, err = run(capsys, *self.ARGS)
         assert code == 2
         assert err.startswith("ConfigInvalid:")

@@ -418,6 +418,6 @@ class TestTermDivisors:
 
     def test_q_lists_low_degree(self):
         params = mk("lucas", Q, "x", "1")
-        divs = term_divisors(params, 6, max_degree=2)
+        divs = term_divisors(params, 6)
         names = {str(q) for q in divs}
         assert names == {"x", "x-1", "x+1", "x^2-3"}

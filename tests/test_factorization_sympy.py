@@ -4,6 +4,8 @@ sympy is a test-only dependency: the module is skipped without it.  Over
 F_p, sympy prints coefficients in symmetric form (-p/2 .. p/2), so its
 factors are made monic and their coefficients taken mod p before comparing.
 The prime 2^31 - 1 exercises the widest packed slots of the quotient ring.
+Over Q, sympy's complete factorization restricted to degrees 1 and 2 is the
+reference for the bounded-degree divisor search, output order included.
 """
 
 import pytest
@@ -13,7 +15,13 @@ from hypothesis import strategies as st
 sympy = pytest.importorskip("sympy")
 
 from seqdiv.coeff import PrimeField, Rationals
-from seqdiv.factorization import factor_fp, is_irreducible_fp, squarefree_decomp
+from seqdiv.factorization import (
+    factor_fp,
+    is_irreducible_fp,
+    low_degree_factors_q,
+    squarefree_decomp,
+)
+from seqdiv.polyring import Poly, parse_poly
 
 from conftest import poly_strategy
 from test_polyring_sympy import from_sympy, scalar, to_sympy
@@ -66,3 +74,38 @@ def test_squarefree_decomp_q_matches_sympy(data):
     h = squareful(data, field, 10)
     unit, pairs = to_sympy(h).sqf_list()
     assert ours(squarefree_decomp(h)) == canonical(field, unit, pairs)
+
+
+Q = Rationals()
+FORCED = [parse_poly(Q, t) for t in ("x", "x-1", "x+1", "2*x+3", "3*x^2-2", "6*x^2+x-12")]
+
+
+@st.composite
+def rational_products(draw):
+    """Products of 1-4 factors of degree 0-3 over Q, each to the power 1 or 2."""
+    non_monic = st.builds(
+        lambda lead, rest: Poly(Q, rest + [lead]),
+        st.integers(2, 6),
+        st.lists(st.integers(-6, 6), min_size=1, max_size=2),
+    )
+    factor = st.one_of(
+        poly_strategy(Q, 3, nonzero=True), st.sampled_from(FORCED), non_monic
+    )
+    h = Poly.one(Q)
+    for _ in range(draw(st.integers(1, 4))):
+        h = h * draw(factor) ** draw(st.integers(1, 2))
+    return h
+
+
+def sympy_low_degree(h):
+    """Monic divisors of degree 1 and 2 from sympy, in the search's order:
+    x, then linear factors by root ascending, then quadratics by coefficients."""
+    _, pairs = sympy.factor_list(to_sympy(h), domain=sympy.QQ)
+    monics = [from_sympy(g.monic(), Q) for g, _ in pairs if 1 <= g.degree() <= 2]
+    linear = sorted((m for m in monics if len(m) == 2), key=lambda m: (m[0] != 0, -m[0]))
+    return linear + sorted(m for m in monics if len(m) == 3)
+
+
+@given(h=rational_products())
+def test_low_degree_factors_q_matches_sympy(h):
+    assert [q.coeffs for q in low_degree_factors_q(h)] == sympy_low_degree(h)

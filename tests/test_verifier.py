@@ -365,6 +365,36 @@ class TestConfigParsing:
         with pytest.raises(ConfigInvalid):
             parse_config(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("kinds", 5),
+            ("kinds", "lehmer"),
+            ("kinds", [["lehmer"]]),
+            ("checks", 7),
+            ("checks", "all"),
+            ("checks", [None]),
+            ("params", 5),
+            ("params", "x,1"),
+            ("params", ["x1"]),
+            ("params", [["x", 5]]),
+            ("params", [["x"]]),
+            ("params", [["x", "1", "2"]]),
+            ("params", [{"a": "x", "b": "1"}]),
+        ],
+    )
+    def test_json_lists_must_hold_strings(self, key, value):
+        doc = json.loads(self.JSON_DOC)
+        doc[key] = value
+        with pytest.raises(ConfigInvalid):
+            parse_config(json.dumps(doc))
+
+    def test_json_params_pairs_accepted(self):
+        doc = json.loads(self.JSON_DOC)
+        doc["params"] = [["x", "1"], ["x^2+1", "x"]]
+        cfg = parse_config(json.dumps(doc))
+        assert [(str(a), str(b)) for a, b in cfg.params] == [("x", "1"), ("x^2+1", "x")]
+
     @pytest.mark.parametrize("p", ["3", 3.0, True])
     def test_json_p_must_be_an_integer(self, p):
         doc = json.loads(self.JSON_DOC)
