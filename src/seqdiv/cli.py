@@ -90,32 +90,39 @@ def cmd_gen(args):
     return 0
 
 
-def _report_line(r):
+def _report_line(r, primes):
     line = (
         f"n={r.n} term={r.term} primitive_part={r.primitive_part} "
         f"has_primitive={_bool(r.has_primitive)} "
         f"matches_phi={_bool(r.matches_phi)} excluded={_bool(r.excluded)}"
     )
-    if r.primitive_primes is not None:
-        line += f" primitive_primes={_primes_text(r.primitive_primes)}"
+    if primes is not None:
+        line += f" primitive_primes={_primes_text(primes)}"
     return line
+
+
+def _report_json(r, primes):
+    doc = r.to_json()
+    if primes is not None:
+        doc["primitive_primes"] = [{"factor": str(f), "exp": e} for f, e in primes]
+    return doc
 
 
 def cmd_primitive(args):
     if (args.n is None) == (args.n_max is None):
         raise ConfigInvalid("give exactly one of --n or --n-max")
     params = _params_from_args(args)
-    with_primes = bool(params.field.char)
     if args.n is not None:
-        reports = [primitive_part(params, args.n, with_primes=with_primes)]
+        reports = [primitive_part(params, args.n)]
     else:
-        reports = zsigmondy_check(params, args.n_max, with_primes=with_primes)
+        reports = zsigmondy_check(params, args.n_max)
+    primes = [factor_fp(r.primitive_part).factors if params.field.char else None for r in reports]
     if args.json:
-        payload = [r.to_json() for r in reports]
+        payload = [_report_json(r, ps) for r, ps in zip(reports, primes)]
         print(json.dumps(payload[0] if args.n is not None else payload, indent=2))
     else:
-        for r in reports:
-            print(_report_line(r))
+        for r, ps in zip(reports, primes):
+            print(_report_line(r, ps))
     return 0
 
 
@@ -198,9 +205,14 @@ def cmd_factor(args):
     return 0
 
 
+def _add_int_flag(sub, flag, **kwargs):
+    """An integer flag, read as SEQ_SEED and the flat config are: ConfigInvalid names it."""
+    sub.add_argument(flag, type=lambda text: _flat_int(flag, text), **kwargs)
+
+
 def _add_field_flags(sub):
     sub.add_argument("--field", choices=("q", "fp"), required=True)
-    sub.add_argument("--p", type=int, help="characteristic, required for --field fp")
+    _add_int_flag(sub, "--p", help="characteristic, required for --field fp")
 
 
 def _add_pair_flags(sub):
@@ -219,14 +231,14 @@ def build_parser():
 
     gen = sub.add_parser("gen", help="print terms 1..n")
     _add_pair_flags(gen)
-    gen.add_argument("--n", type=int, required=True)
+    _add_int_flag(gen, "--n", required=True)
     gen.add_argument("--json", action="store_true")
     gen.set_defaults(func=cmd_gen)
 
     prim = sub.add_parser("primitive", help="primitive-divisor reports")
     _add_pair_flags(prim)
-    prim.add_argument("--n", type=int, help="single index")
-    prim.add_argument("--n-max", type=int, help="report every index 1..n_max")
+    _add_int_flag(prim, "--n", help="single index")
+    _add_int_flag(prim, "--n-max", help="report every index 1..n_max")
     prim.add_argument("--json", action="store_true")
     prim.set_defaults(func=cmd_primitive)
 
@@ -234,23 +246,23 @@ def build_parser():
     ver.add_argument("--config", help="campaign config path (json or key=value)")
     ver.add_argument("--kind", choices=[k.value for k in SeqKind])
     ver.add_argument("--field", choices=("q", "fp"), default="q")
-    ver.add_argument("--p", type=int)
+    _add_int_flag(ver, "--p")
     ver.add_argument("--a")
     ver.add_argument("--b")
-    ver.add_argument("--n-max", type=int, default=12)
-    ver.add_argument("--m-max", type=int, default=12)
+    _add_int_flag(ver, "--n-max", default=12)
+    _add_int_flag(ver, "--m-max", default=12)
     ver.add_argument("--include-excluded", action="store_true")
     ver.add_argument("--json", action="store_true")
     ver.set_defaults(func=cmd_verify)
 
     cyc = sub.add_parser("cyclo", help="homogeneous cyclotomic form")
-    cyc.add_argument("--n", type=int, required=True)
+    _add_int_flag(cyc, "--n", required=True)
     cyc.add_argument("--json", action="store_true")
     cyc.set_defaults(func=cmd_cyclo)
 
     res = sub.add_parser("resultant", help="resultant of two power-sum forms")
-    res.add_argument("--m", type=int, required=True)
-    res.add_argument("--n", type=int, required=True)
+    _add_int_flag(res, "--m", required=True)
+    _add_int_flag(res, "--n", required=True)
     res.add_argument("--json", action="store_true")
     res.set_defaults(func=cmd_resultant)
 
@@ -258,7 +270,7 @@ def build_parser():
     _add_field_flags(fac)
     fac.add_argument("poly", help="polynomial expression")
     fac.add_argument("--squarefree", action="store_true")
-    fac.add_argument("--seed", type=int)
+    _add_int_flag(fac, "--seed")
     fac.add_argument("--json", action="store_true")
     fac.set_defaults(func=cmd_factor)
 
@@ -282,8 +294,8 @@ def _join_poly_values(argv):
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(_join_poly_values(sys.argv[1:] if argv is None else argv))
     try:
+        args = parser.parse_args(_join_poly_values(sys.argv[1:] if argv is None else argv))
         return args.func(args)
     except SeqdivError as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)

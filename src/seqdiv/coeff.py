@@ -1,8 +1,9 @@
 """Exact coefficient fields: arbitrary-precision rationals and prime fields.
 
-A field descriptor names the raw value representation (``fractions.Fraction``
-for the rationals, canonical residues ``0..p-1`` for F_p) and its literal
+A field descriptor names the raw value representation and its literal
 syntax; the raw kernel in ``polyring`` does all arithmetic on those values.
+A rational is an ``int`` if integral, else a reduced ``fractions.Fraction``;
+an element of F_p is its residue 0..p-1, so 0 and 1 serve every field.
 Descriptors are interned, so a field check is an identity test.
 """
 
@@ -33,11 +34,9 @@ def is_prime(n):
 
 
 class Rationals:
-    """Descriptor for Q with Fraction values (reduced, positive denominator); a singleton."""
+    """Descriptor for Q with int or Fraction values (int when integral); a singleton."""
 
     char = 0
-    zero = Fraction(0)
-    one = Fraction(1)
     _instance = None
 
     def __new__(cls):
@@ -45,16 +44,14 @@ class Rationals:
         return cls._instance
 
     def normalize(self, v):
-        if isinstance(v, Fraction):
-            return v
-        if isinstance(v, int):
-            return Fraction(v)
-        raise WrongField(f"not a rational value: {v!r}")
+        if not isinstance(v, (int, Fraction)):
+            raise WrongField(f"not a rational value: {v!r}")
+        return int(v) if v.denominator == 1 else v
 
     def parse_scalar(self, text):
         """Parse ``int`` or ``int/uint`` literal syntax."""
         try:
-            return Fraction(text)
+            return self.normalize(Fraction(text))
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad rational literal {text!r}") from exc
 
@@ -72,8 +69,6 @@ class PrimeField:
     """Descriptor for F_p with residues 0..p-1 as raw values; interned, one per p."""
 
     __slots__ = ("p", "char")
-    zero = 0
-    one = 1
     _interned = {}
 
     def __new__(cls, p):

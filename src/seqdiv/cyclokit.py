@@ -21,7 +21,7 @@ from .errors import (
     NotDivisible,
     ZeroArgument,
 )
-from .polyring import Poly, _strip
+from .polyring import Poly, _mul_raw, _strip
 
 __all__ = [
     "BivarForm",
@@ -153,13 +153,7 @@ class BivarForm:
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return BivarForm.zero()
-        a, b = self.coeffs, other.coeffs
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        return BivarForm(self.degree + other.degree, out)
+        return BivarForm(self.degree + other.degree, _mul_raw(self.coeffs, other.coeffs))
 
     def __repr__(self):
         return f"BivarForm({self.degree}, {self.coeffs!r})"

@@ -52,8 +52,7 @@ class PrimitiveReport:
 
     position is the index of n inside the subsequence that survives deleting
     the indices divisible by the characteristic (equal to n over Q); it is
-    None when n itself is deleted.  primitive_primes lists (irreducible,
-    exponent) pairs and is filled only on request over a prime field.
+    None when n itself is deleted.
     """
 
     n: int
@@ -63,10 +62,9 @@ class PrimitiveReport:
     has_primitive: bool
     matches_phi: bool
     excluded: bool
-    primitive_primes: Optional[tuple] = None
 
     def to_json(self):
-        doc = {
+        return {
             "n": self.n,
             "term": format_poly(self.term),
             "primitive_part": format_poly(self.primitive_part),
@@ -74,11 +72,6 @@ class PrimitiveReport:
             "matches_phi": self.matches_phi,
             "excluded": self.excluded,
         }
-        if self.primitive_primes is not None:
-            doc["primitive_primes"] = [
-                {"factor": format_poly(q), "exp": e} for q, e in self.primitive_primes
-            ]
-        return doc
 
 
 def _term_gcd(params, m, n):
@@ -107,7 +100,7 @@ def strong_div_check(params, m, n):
     return is_associated(_term_gcd(params, m, n), term(params, int_gcd(m, n)))
 
 
-def primitive_part(params, n, with_primes=False):
+def primitive_part(params, n):
     """Strip every non-primitive factor out of term(n) and report.
 
     For each earlier index m the gcd with term(m) is divided out repeatedly,
@@ -157,9 +150,6 @@ def primitive_part(params, n, with_primes=False):
         position = n - n // p
     else:
         position = n
-    primes = None
-    if with_primes and p:
-        primes = factor_fp(b).factors
     return PrimitiveReport(
         n=n,
         position=position,
@@ -168,15 +158,14 @@ def primitive_part(params, n, with_primes=False):
         has_primitive=has_primitive,
         matches_phi=matches_phi,
         excluded=excluded,
-        primitive_primes=primes,
     )
 
 
-def zsigmondy_check(params, n_max, with_primes=False):
+def zsigmondy_check(params, n_max):
     """Primitive-divisor reports for every index 1 <= n <= n_max."""
     if n_max < 1:
         raise PreconditionViolated("n_max must be at least 1")
-    return [primitive_part(params, n, with_primes=with_primes) for n in range(1, n_max + 1)]
+    return [primitive_part(params, n) for n in range(1, n_max + 1)]
 
 
 def zsigmondy_claimed(report, include_excluded=False):

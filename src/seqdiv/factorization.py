@@ -83,7 +83,7 @@ class Factorization:
 
     def __str__(self):
         parts = []
-        if self.unit != self.field.one or not self.factors:
+        if self.unit != 1 or not self.factors:
             parts.append(str(self.unit))
         for f, e in self.factors:
             parts.append(f"({f})" if e == 1 else f"({f})^{e}")

@@ -2,10 +2,13 @@
 
 ``Poly`` stores raw coefficient values (lowest degree first, no trailing
 zeros) plus its field descriptor.  All arithmetic is exact.  The raw kernel
-below (``_reduce``, ``_monic_raw``, ``_divrem_raw``, ``_gcd_raw``) is the only
-code that reads the characteristic: over F_p it works on integers congruent
-to the true values and reduces mod p where a value is read or leaves the
-kernel; over Q every value is an exact Fraction and reduction is a no-op.
+below (``_reduce``, ``_inverse``, ``_monic_raw``, ``_divrem_raw``,
+``_gcd_raw``) is the only code that reads the characteristic: over F_p it
+works on integers congruent to the true values and reduces mod p where a
+value is read or leaves the kernel; over Q reduction is a no-op.  A Q value
+enters as an ``int`` unless it is fractional, and in the kernel only
+``_inverse`` makes a ``Fraction`` (a quotient may keep one with denominator
+1, which compares, hashes and prints like the int).
 
 Units of K[x] are the nonzero constants; two polynomials are associated
 exactly when their monic normalizations coincide, and ideals are identified
@@ -49,14 +52,28 @@ def _reduce(cs, field):
     return [c % p for c in cs] if p else cs
 
 
+def _mul_raw(a, b):
+    """Schoolbook product of two nonempty raw lists, not reduced."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return out
+
+
+def _inverse(c, p):
+    """Inverse of a nonzero raw value; over Q an int when integral, never a float."""
+    if p:
+        return pow(c, p - 2, p)
+    inv = Fraction(1, c)
+    return inv.numerator if inv.denominator == 1 else inv
+
+
 def _monic_raw(cs, field):
     """The monic associate of a nonzero raw list."""
-    p = field.char
-    lead = cs[-1]
-    if p:
-        inv = pow(lead, p - 2, p)
-        return [c * inv % p for c in cs]
-    return [c / lead for c in cs]
+    inv = _inverse(cs[-1], field.char)
+    return _reduce([c * inv for c in cs], field)
 
 
 def _divrem_raw(a, b, field):
@@ -67,9 +84,9 @@ def _divrem_raw(a, b, field):
     if da < db:
         return [], list(a)
     p = field.char
-    inv = pow(b[db], p - 2, p) if p else 1 / b[db]
+    inv = _inverse(b[db], p)
     r = list(a)
-    q = [field.zero] * (da - db + 1)
+    q = [0] * (da - db + 1)
     for k in range(da - db, -1, -1):
         c = r[db + k] * inv
         if p:
@@ -91,7 +108,7 @@ def _gcd_raw(a, b, field):
     a, b = list(a), list(b)
     while b:
         db = len(b) - 1
-        inv = pow(b[db], p - 2, p) if p else 1 / b[db]
+        inv = _inverse(b[db], p)
         r = a
         while len(r) > db:
             c = r.pop() * inv
@@ -140,11 +157,11 @@ class Poly:
 
     @classmethod
     def one(cls, field):
-        return cls._make(field, [field.one])
+        return cls._make(field, [1])
 
     @classmethod
     def x(cls, field):
-        return cls._make(field, [field.zero, field.one])
+        return cls._make(field, [0, 1])
 
     @classmethod
     def const(cls, field, v):
@@ -162,18 +179,14 @@ class Poly:
         return len(self.coeffs) == 1
 
     def is_one(self):
-        return len(self.coeffs) == 1 and self.coeffs[0] == self.field.one
+        return len(self.coeffs) == 1 and self.coeffs[0] == 1
 
     def lc(self):
-        if not self.coeffs:
-            return self.field.zero
-        return self.coeffs[-1]
+        return self.coeffs[-1] if self.coeffs else 0
 
     def monic(self):
         """The unique monic associate (zero stays zero)."""
-        if not self.coeffs:
-            return self
-        if self.coeffs[-1] == self.field.one:
+        if not self.coeffs or self.coeffs[-1] == 1:
             return self
         return Poly._make(self.field, _monic_raw(self.coeffs, self.field))
 
@@ -226,12 +239,7 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly.zero(self.field)
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        return Poly._make(self.field, _reduce(out, self.field))
+        return Poly._make(self.field, _reduce(_mul_raw(a, b), self.field))
 
     __rmul__ = __mul__
 
@@ -263,7 +271,7 @@ class Poly:
     def __call__(self, v):
         """Evaluate by Horner's rule at a raw scalar."""
         v = self.field.normalize(v)
-        acc = self.field.zero
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * v + c
         return _reduce([acc], self.field)[0]
@@ -381,24 +389,21 @@ def parse_poly(field, text):
             raise ParseError(f"bad term {chunk!r} in {text!r}")
         if star and (coef_txt is None or not has_x):
             raise ParseError(f"bad term {chunk!r} in {text!r}")
-        c = field.parse_scalar(coef_txt) if coef_txt is not None else field.one
+        c = field.parse_scalar(coef_txt) if coef_txt is not None else 1
         e = 0
         if has_x:
             digits = (m.group("exp") or "1").lstrip("0") or "0"
             if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
                 raise ParseError(f"exponent in {chunk!r} exceeds {MAX_EXPONENT}")
             e = int(digits)
-        coeffs[e] = coeffs.get(e, field.zero) + sign * c
+        coeffs[e] = coeffs.get(e, 0) + sign * c
         if nxt >= len(s):
             break
         if nxt == len(s) - 1:
             raise ParseError(f"dangling sign in {text!r}")
         sign = -1 if s[nxt] == "-" else 1
         pos = nxt + 1
-    raw = [field.zero] * (max(coeffs) + 1)
-    for e, c in coeffs.items():
-        raw[e] = c
-    return Poly._make(field, _reduce(raw, field))
+    return Poly(field, [coeffs.get(e, 0) for e in range(max(coeffs) + 1)])
 
 
 def format_poly(a):
@@ -417,7 +422,7 @@ def format_poly(a):
             body = str(mag)
         else:
             xs = "x" if k == 1 else f"x^{k}"
-            body = xs if mag == field.one else f"{mag}*{xs}"
+            body = xs if mag == 1 else f"{mag}*{xs}"
         if not out:
             out.append(("-" if negative else "") + body)
         else:

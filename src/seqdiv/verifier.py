@@ -46,18 +46,6 @@ __all__ = [
     "render_report",
 ]
 
-ALL_CHECKS = (
-    "strong_div",
-    "zsigmondy",
-    "primitive_part_phi",
-    "valuation_stability",
-    "sum_square_coprime",
-    "index_scaled_coprime",
-    "coprime_pairs",
-    "oracle_equivalence",
-)
-
-
 @dataclass(frozen=True)
 class Exhaustive:
     def to_json(self):
@@ -415,6 +403,8 @@ _RUNNERS = {
     "coprime_pairs": _run_coprime_pairs,
     "oracle_equivalence": _run_oracle_equivalence,
 }
+
+ALL_CHECKS = tuple(_RUNNERS)
 
 
 def run_campaign(config):

@@ -3,6 +3,10 @@ import json
 import pytest
 
 from seqdiv.cli import main
+from seqdiv.coeff import PrimeField
+from seqdiv.polyring import parse_poly
+
+F5 = PrimeField(5)
 
 
 def run(capsys, *argv):
@@ -130,6 +134,44 @@ class TestPrimitive:
         lines = out.splitlines()
         assert len(lines) == 4
         assert all("primitive_primes=" in line for line in lines)
+
+    def test_primitive_primes_fp(self, capsys):
+        code, out, _ = run(
+            capsys, "primitive", "--kind", "lehmer", "--field", "fp", "--p", "5",
+            "--a", "x+1", "--b", "x", "--n", "6", "--json",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        prod = parse_poly(F5, "1")
+        for entry in doc["primitive_primes"]:
+            prod = prod * parse_poly(F5, entry["factor"]) ** entry["exp"]
+        assert str(prod.monic()) == doc["primitive_part"]
+
+    def test_no_primitive_primes_over_q(self, capsys):
+        base = [
+            "primitive", "--kind", "lucas", "--field", "q",
+            "--a", "x", "--b", "1", "--n", "4",
+        ]
+        code, out, _ = run(capsys, *base)
+        assert code == 0 and "primitive_primes" not in out
+        code, out, _ = run(capsys, *base, "--json")
+        assert code == 0 and "primitive_primes" not in json.loads(out)
+
+    def test_json_shape(self, capsys):
+        code, out, _ = run(
+            capsys, "primitive", "--kind", "power", "--field", "fp", "--p", "3",
+            "--a", "x+1", "--b", "x", "--n", "4", "--json",
+        )
+        assert code == 0
+        assert list(json.loads(out)) == [
+            "n",
+            "term",
+            "primitive_part",
+            "has_primitive",
+            "matches_phi",
+            "excluded",
+            "primitive_primes",
+        ]
 
     def test_json_single_vs_range(self, capsys):
         _, single, _ = run(
@@ -375,6 +417,38 @@ class TestNegativeParameters:
         )
         assert code == 0
         assert out.splitlines() == ["1", "-x+3", "x^2-6*x+8"]
+
+
+PAIR = ["--kind", "lucas", "--a", "x", "--b", "1"]
+
+
+class TestIntegerFlags:
+    @pytest.mark.parametrize("raw", ["1_000", " 7", "٣", "3.0", ""])
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["gen", *PAIR, "--field", "q"], "--n"),
+            (["gen", *PAIR, "--field", "fp", "--n", "3"], "--p"),
+            (["primitive", *PAIR, "--field", "q"], "--n"),
+            (["primitive", *PAIR, "--field", "q"], "--n-max"),
+            (["verify", *PAIR], "--n-max"),
+            (["verify", *PAIR], "--m-max"),
+            (["verify", *PAIR, "--field", "fp"], "--p"),
+            (["cyclo"], "--n"),
+            (["resultant", "--n", "3"], "--m"),
+            (["resultant", "--m", "3"], "--n"),
+            (["factor", "--field", "fp", "--p", "5", "x^2+1"], "--seed"),
+        ],
+    )
+    def test_only_plain_decimal_integers(self, capsys, argv, flag, raw):
+        code, out, err = run(capsys, *argv, flag, raw)
+        assert code == 2 and out == ""
+        assert err.startswith(f"ConfigInvalid: {flag} must be an integer")
+
+    def test_signed_decimal_is_accepted(self, capsys):
+        code, out, _ = run(capsys, "cyclo", "--n", "+06")
+        assert code == 0
+        assert out == run(capsys, "cyclo", "--n", "6")[1]
 
 
 class TestArgparseErrors:

@@ -110,38 +110,6 @@ class TestPrimitivePart:
         assert not primitive_part(params, 1).matches_phi
         assert not primitive_part(params, 2).matches_phi
 
-    def test_with_primes_fp(self):
-        params = mk("lehmer", F5, "x+1", "x")
-        rep = primitive_part(params, 6, with_primes=True)
-        assert rep.primitive_primes is not None
-        from seqdiv.polyring import Poly
-
-        prod = Poly.one(F5)
-        for q, e in rep.primitive_primes:
-            prod = prod * q**e
-        assert monic(prod) == rep.primitive_part
-
-    def test_with_primes_stays_none_over_q(self):
-        params = mk("lucas", Q, "x", "1")
-        rep = primitive_part(params, 4, with_primes=True)
-        assert rep.primitive_primes is None
-
-    def test_json_shape(self):
-        params = mk("power", F3, "x+1", "x")
-        doc = primitive_part(params, 4, with_primes=True).to_json()
-        assert set(doc) == {
-            "n",
-            "term",
-            "primitive_part",
-            "has_primitive",
-            "matches_phi",
-            "excluded",
-            "primitive_primes",
-        }
-        assert "position" not in doc
-        doc2 = primitive_part(params, 4).to_json()
-        assert "primitive_primes" not in doc2
-
 
 class TestPhiMatch:
     @pytest.mark.parametrize(

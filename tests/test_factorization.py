@@ -42,7 +42,7 @@ class TestFactorFp:
         h = data.draw(poly_strategy(field, 5, nonzero=True))
         for f, e in factor_fp(h):
             assert e >= 1
-            assert f.lc() == field.one
+            assert f.lc() == 1
             assert is_irreducible_fp(f)
 
     def test_deterministic_across_seeds_and_runs(self, f5):

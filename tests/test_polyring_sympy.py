@@ -53,6 +53,7 @@ def test_kernel_matches_sympy(field, data):
 
     def same(ours, theirs):
         assert ours.coeffs == from_sympy(theirs, field)
+        assert all(type(c) in (int, Fraction) for c in ours.coeffs)
 
     q, r = divmod(a, b)
     sq, sr = sa.div(sb)
@@ -65,4 +66,6 @@ def test_kernel_matches_sympy(field, data):
     same(a - b, sa - sb)
     same(b - a, sb - sa)
     same(a * b, sa * sb)
-    assert a(3) == scalar(sa.eval(3), field)
+    value = a(3)
+    assert value == scalar(sa.eval(3), field)
+    assert type(value) in (int, Fraction)
