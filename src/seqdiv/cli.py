@@ -12,12 +12,13 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 
 from .coeff import PrimeField, Rationals
 from .cyclokit import cyclotomic_form, power_sum_form, resultant
 from .divisibility import primitive_part, zsigmondy_check
 from .errors import ConfigInvalid, SeqdivError, UnsupportedField
-from .factorization import DEFAULT_SEED, factor_fp, squarefree_decomp
+from .factorization import DEFAULT_SEED, factor_fp, factors_text, squarefree_decomp
 from .polyring import parse_poly
 from .sequences import SeqKind, term, validate
 from .verifier import (
@@ -63,10 +64,6 @@ def _bool(v):
     return "true" if v else "false"
 
 
-def _primes_text(primes):
-    return "".join(f"({f})" if e == 1 else f"({f})^{e}" for f, e in primes)
-
-
 def cmd_gen(args):
     if args.n < 1:
         raise ConfigInvalid("--n must be at least 1")
@@ -97,7 +94,7 @@ def _report_line(r, primes):
         f"matches_phi={_bool(r.matches_phi)} excluded={_bool(r.excluded)}"
     )
     if primes is not None:
-        line += f" primitive_primes={_primes_text(primes)}"
+        line += f" primitive_primes={factors_text(primes)}"
     return line
 
 
@@ -222,7 +219,9 @@ def _add_pair_flags(sub):
     sub.add_argument("--b", required=True, help="second parameter")
 
 
+@lru_cache(maxsize=1)
 def build_parser():
+    """The argument parser, built on first use and shared: parse_args does not change it."""
     parser = argparse.ArgumentParser(
         prog="seq",
         description="Exact divisibility sequences over Q[x] and F_p[x].",

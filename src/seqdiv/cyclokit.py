@@ -3,7 +3,8 @@
 A form of degree d is stored as the integer tuple (c_0, ..., c_d) with c_k the
 coefficient of X^(d-k) Y^k.  Setting X = 1 turns that tuple into an ordinary
 integer polynomial in Y, so products and exact quotients of forms reduce to
-dense univariate arithmetic plus degree bookkeeping.
+dense univariate arithmetic plus degree bookkeeping.  The arithmetic, the
+remainder modulo (X + Y)^2 and the text are the ``polyring`` kernel's own.
 
 The split of X^n - Y^n into cyclotomic forms, the complete power sums
 P_n = (X^n - Y^n)/(X - Y), their resultants, and their remainders modulo
@@ -21,7 +22,8 @@ from .errors import (
     NotDivisible,
     ZeroArgument,
 )
-from .polyring import Poly, _mul_raw, _strip
+from .coeff import Rationals
+from .polyring import Poly, _divrem_raw, _exact_quotient_z, _format_terms, _mul_raw, _strip
 
 __all__ = [
     "BivarForm",
@@ -159,45 +161,8 @@ class BivarForm:
         return f"BivarForm({self.degree}, {self.coeffs!r})"
 
     def __str__(self):
-        if self.is_zero():
-            return "0"
         d = self.degree
-        out = []
-        for k, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            mag = abs(c)
-            mono = []
-            if d - k > 0:
-                mono.append("X" if d - k == 1 else f"X^{d - k}")
-            if k > 0:
-                mono.append("Y" if k == 1 else f"Y^{k}")
-            body = "*".join(mono)
-            if not body:
-                body = str(mag)
-            elif mag != 1:
-                body = f"{mag}*{body}"
-            sign = "-" if c < 0 else ("" if not out else "+")
-            out.append(sign + body)
-        return "".join(out)
-
-
-def _exact_quotient_z(a, b):
-    """Quotient of integer coefficient lists (lowest first, b[-1] != 0) over Z,
-    or None when b does not divide a over Z."""
-    n = len(b) - 1
-    lead = b[-1]
-    r = list(a)
-    q = [0] * max(len(a) - n, 0)
-    for k in range(len(a) - 1 - n, -1, -1):
-        c, m = divmod(r[n + k], lead)
-        if m:
-            return None
-        if c:
-            q[k] = c
-            for i in range(n):
-                r[i + k] -= c * b[i]
-    return None if any(r[:n]) else q
+        return _format_terms((c, (("X", d - k), ("Y", k))) for k, c in enumerate(self.coeffs))
 
 
 def form_exact_div(a, b):
@@ -252,26 +217,11 @@ def rem_mod_sum_square(a):
     Divisibility is equivalent to the dehomogenization having a double root
     at X = -1, i.e. value and first derivative vanishing there.
     """
-    if a.is_zero():
-        return BivarForm.zero()
     if a.degree < 2:
         return a
-    # dense univariate coefficients in X (lowest first)
-    u = list(reversed(a.coeffs))
-    r = list(u)
-    for k in range(len(u) - 3, -1, -1):
-        c = r[2 + k]
-        if c:
-            r[k] -= c
-            r[1 + k] -= 2 * c
-            r[2 + k] = 0
-    r0, r1 = r[0], r[1]
-    if not r0 and not r1:
-        return BivarForm.zero()
-    cs = [0] * (a.degree + 1)
-    cs[a.degree] = r0
-    cs[a.degree - 1] = r1
-    return BivarForm(a.degree, cs)
+    # dense univariate coefficients in X (lowest first); the divisor is monic over Z
+    r = _divrem_raw(a.coeffs[::-1], [1, 2, 1], Rationals())[1] + [0, 0]
+    return BivarForm(a.degree, [0] * (a.degree - 1) + [r[1], r[0]])
 
 
 def power_sum_square_quotient(n):

@@ -20,6 +20,7 @@ from .errors import PreconditionViolated, UnsupportedField
 from .factorization import factor_fp, low_degree_factors_q
 from .polyring import (
     Poly,
+    _strip_power,
     exact_div,
     format_poly,
     is_associated,
@@ -291,10 +292,7 @@ def primitive_parts_factored(params, n_max):
     for n in range(1, n_max + 1):
         b = term(params, n)
         for q in seen:
-            quo, r = divmod(b, q)
-            while b and not r:
-                b = quo
-                quo, r = divmod(b, q)
+            b = _strip_power(q, b)[1]
         parts[n] = b = b.monic()
         seen.extend(q for q, _ in factor_fp(b).factors)
     return parts

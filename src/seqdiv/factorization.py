@@ -25,13 +25,14 @@ import random
 from fractions import Fraction
 
 from .coeff import PrimeField, Rationals
-from .cyclokit import _exact_quotient_z, divisors
+from .cyclokit import divisors
 from .errors import UnsupportedField, ZeroArgument
-from .polyring import Poly, _divrem_raw, _gcd_raw, _strip, exact_div, poly_gcd
+from .polyring import Poly, _divrem_raw, _exact_quotient_z, _gcd_raw, _strip, exact_div, poly_gcd
 
 __all__ = [
     "DEFAULT_SEED",
     "Factorization",
+    "factors_text",
     "squarefree_decomp",
     "factor_fp",
     "is_irreducible_fp",
@@ -82,12 +83,13 @@ class Factorization:
         return f"Factorization({self.field!r}, {self.unit!r}, {self.factors!r})"
 
     def __str__(self):
-        parts = []
-        if self.unit != 1 or not self.factors:
-            parts.append(str(self.unit))
-        for f, e in self.factors:
-            parts.append(f"({f})" if e == 1 else f"({f})^{e}")
-        return "".join(parts)
+        unit = str(self.unit) if self.unit != 1 or not self.factors else ""
+        return unit + factors_text(self.factors)
+
+
+def factors_text(factors):
+    """(factor, exponent) pairs as text: "(f)" for exponent 1, "(f)^e" otherwise."""
+    return "".join(f"({f})" if e == 1 else f"({f})^{e}" for f, e in factors)
 
 
 class _QuotientRing:

@@ -10,6 +10,10 @@ enters as an ``int`` unless it is fractional, and in the kernel only
 ``_inverse`` makes a ``Fraction`` (a quotient may keep one with denominator
 1, which compares, hashes and prints like the int).
 
+The integer forms of ``cyclokit`` and the rational divisor search share its
+exact quotient over Z (``_exact_quotient_z``); ``_strip_power`` and the
+signed-sum text ``_format_terms`` also have no other copy.
+
 Units of K[x] are the nonzero constants; two polynomials are associated
 exactly when their monic normalizations coincide, and ideals are identified
 with their unique monic (or zero) generator.
@@ -126,6 +130,23 @@ def _gcd_raw(a, b, field):
     if a and a[-1] != 1:
         a = _monic_raw(a, field)
     return a
+
+
+def _exact_quotient_z(a, b):
+    """a / b on integer lists (lowest first, b[-1] != 0) over Z; None when b does not divide a."""
+    n = len(b) - 1
+    lead = b[-1]
+    r = list(a)
+    q = [0] * max(len(a) - n, 0)
+    for k in range(len(a) - 1 - n, -1, -1):
+        c, m = divmod(r[n + k], lead)
+        if m:
+            return None
+        if c:
+            q[k] = c
+            for i in range(n):
+                r[i + k] -= c * b[i]
+    return None if any(r[:n]) else q
 
 
 class Poly:
@@ -338,11 +359,16 @@ def valuation(q, h):
         raise ZeroArgument("valuation of the zero polynomial")
     if q.degree < 1:
         raise PreconditionViolated("valuation divisor must be non-constant")
+    return _strip_power(q, h)[0]
+
+
+def _strip_power(q, h):
+    """(e, h / q^e) for the largest e with q^e dividing h, q non-constant; (0, 0) for h = 0."""
     e = 0
     while True:
         qq, r = divmod(h, q)
-        if r:
-            return e
+        if r or not h:
+            return e, h
         h = qq
         e += 1
 
@@ -406,25 +432,24 @@ def parse_poly(field, text):
     return Poly(field, [coeffs.get(e, 0) for e in range(max(coeffs) + 1)])
 
 
-def format_poly(a):
-    """Canonical expression string: descending powers, explicit '*', reduced scalars."""
-    if not a.coeffs:
-        return "0"
-    field = a.field
+def _format_terms(terms):
+    """Signed sum of (coefficient, monomial) pairs; a monomial is (variable, exponent) pairs.
+
+    Zero coefficients and zero exponents are skipped, '*' joins the factors
+    of a term, and a unit coefficient before a non-constant monomial is implicit.
+    """
     out = []
-    for k in range(len(a.coeffs) - 1, -1, -1):
-        c = a.coeffs[k]
+    for c, mono in terms:
         if not c:
             continue
-        negative = field.char == 0 and c < 0
-        mag = -c if negative else c
-        if k == 0:
-            body = str(mag)
-        else:
-            xs = "x" if k == 1 else f"x^{k}"
-            body = xs if mag == 1 else f"{mag}*{xs}"
-        if not out:
-            out.append(("-" if negative else "") + body)
-        else:
-            out.append(("-" if negative else "+") + body)
-    return "".join(out)
+        mag = -c if c < 0 else c
+        factors = [v if e == 1 else f"{v}^{e}" for v, e in mono if e]
+        if mag != 1 or not factors:
+            factors.insert(0, str(mag))
+        out.append(("-" if c < 0 else "+" if out else "") + "*".join(factors))
+    return "".join(out) or "0"
+
+
+def format_poly(a):
+    """Canonical expression string: descending powers, explicit '*', reduced scalars."""
+    return _format_terms((a.coeffs[k], (("x", k),)) for k in range(len(a.coeffs) - 1, -1, -1))

@@ -11,7 +11,7 @@ import json
 import random
 import re
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import product
 from math import gcd as int_gcd
 from typing import Optional
@@ -465,11 +465,30 @@ def _json_strings(key, value):
     return value
 
 
+def _only_keys(doc, allowed, where):
+    """ConfigInvalid naming the keys of doc outside allowed."""
+    unknown = sorted(set(doc) - set(allowed))
+    if unknown:
+        raise ConfigInvalid(f"unknown {where} keys: {unknown}")
+
+
+def _unique_keys(pairs):
+    """A dict of (key, value) pairs; ConfigInvalid naming a repeated key."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ConfigInvalid(f"repeated config key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def _field_from_desc(fdesc):
     kind_text = fdesc["type"]
     if kind_text == "q":
+        _only_keys(fdesc, ("type",), "field 'q'")
         return Rationals()
     if kind_text == "fp":
+        _only_keys(fdesc, ("type", "p"), "field 'fp'")
         if fdesc.get("p") is None:
             raise ConfigInvalid("prime field needs p")
         try:
@@ -531,42 +550,32 @@ def parse_config(text):
     comma-separated, params entries are semicolon-separated "a,b" pairs,
     enumeration is "exhaustive" or "random:count:seed", integers are
     optionally signed decimal digits, and include_excluded is one of
-    true/false/yes/no/1/0.  Any other value raises ConfigInvalid.
+    true/false/yes/no/1/0.  Any other value, an unknown or repeated key (in
+    field and enumeration too) and a p without the fp field raise ConfigInvalid.
     """
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:
-            doc = json.loads(text)
+            doc = json.loads(text, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise ConfigInvalid(f"bad JSON config: {exc}") from exc
         return _config_from_dict(doc)
-    doc = {}
+    pairs = []
     for raw_line in text.splitlines():
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigInvalid(f"expected key=value, got {line!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        doc[key] = value
-    return _config_from_flat(doc)
+        pairs.append(tuple(part.strip() for part in line.split("=", 1)))
+    return _config_from_flat(_unique_keys(pairs))
+
+
+_CONFIG_KEYS = {f.name for f in fields(CampaignConfig)}
 
 
 def _config_from_dict(doc):
-    known = {
-        "field",
-        "kinds",
-        "max_param_degree",
-        "enumeration",
-        "n_max",
-        "m_max",
-        "checks",
-        "include_excluded",
-        "params",
-    }
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigInvalid(f"unknown config keys: {sorted(unknown)}")
+    _only_keys(doc, _CONFIG_KEYS, "config")
     fdesc = doc.get("field")
     if not isinstance(fdesc, dict) or "type" not in fdesc:
         raise ConfigInvalid('field must be {"type": "q"} or {"type": "fp", "p": ...}')
@@ -577,8 +586,10 @@ def _config_from_dict(doc):
     if not isinstance(enum_desc, dict):
         raise ConfigInvalid("enumeration must be an object with a type")
     if enum_desc.get("type") == "exhaustive":
+        _only_keys(enum_desc, ("type",), "enumeration 'exhaustive'")
         enumeration = Exhaustive()
     elif enum_desc.get("type") == "random":
+        _only_keys(enum_desc, ("type", "count", "seed"), "enumeration 'random'")
         if "count" not in enum_desc:
             raise ConfigInvalid("random enumeration needs a count")
         enumeration = Random(_json_int(enum_desc, "count"), _json_int(enum_desc, "seed", 0))
@@ -616,6 +627,7 @@ def _flat_int(key, text):
 
 
 def _config_from_flat(doc):
+    _only_keys(doc, _CONFIG_KEYS | {"p"}, "config")
     out = {}
     if "field" in doc:
         out["field"] = {"type": doc["field"]}

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from seqdiv.cli import main
+from seqdiv.cli import build_parser, main
 from seqdiv.coeff import PrimeField
 from seqdiv.polyring import parse_poly
 
@@ -305,6 +305,27 @@ class TestVerify:
         doc = json.loads(out)
         assert doc["failures"] == []
         assert doc["config"]["params"] == [["x", "1"]]
+
+    @pytest.mark.parametrize(
+        "extra,key",
+        [("n_mx = 20\n", "n_mx"), ("n_max = 6\n", "n_max"), ("p = 5\n", "p")],
+        ids=["unknown", "repeated", "p-without-fp"],
+    )
+    def test_config_key_errors_exit_2(self, capsys, tmp_path, extra, key):
+        path = tmp_path / "c.cfg"
+        path.write_text("field = q\nkinds = lucas\nchecks = all\nparams = x,1\nn_max = 8\n" + extra)
+        code, out, err = run(capsys, "verify", "--config", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("ConfigInvalid:") and repr(key) in err
+
+    def test_parser_is_built_once(self, capsys):
+        assert build_parser() is build_parser()
+        first = run(capsys, *self.INLINE, "--json")
+        second = run(capsys, *self.INLINE, "--json")
+        docs = [json.loads(out) for _, out, _ in (first, second)]
+        for doc in docs:
+            del doc["wall_time"]
+        assert first[0] == second[0] == 0 and docs[0] == docs[1]
 
 
 class TestForms:

@@ -53,6 +53,20 @@ class TestForms:
         assert str(power_sum_form(2)) == "X+Y"
         assert str(BivarForm.zero()) == "0"
 
+    @pytest.mark.parametrize(
+        "degree,coeffs,text",
+        [
+            (2, (-1, 0, 3), "-X^2+3*Y^2"),
+            (2, (1, -1, 0), "X^2-X*Y"),
+            (3, (-2, 1, -1, -7), "-2*X^3+X^2*Y-X*Y^2-7*Y^3"),
+            (4, (0, 0, -1, 0, 0), "-X^2*Y^2"),
+            (0, (-7,), "-7"),
+            (3, (0, 0, 0, 0), "0"),
+        ],
+    )
+    def test_str_signs_and_units(self, degree, coeffs, text):
+        assert str(BivarForm(degree, coeffs)) == text
+
     @given(
         a=st.lists(st.integers(-5, 5), min_size=3, max_size=3),
         b=st.lists(st.integers(-5, 5), min_size=3, max_size=3),
@@ -136,6 +150,17 @@ class TestCongruences:
         assert rem_mod_sum_square(power_sum_form(n)) == rem_mod_sum_square(
             BivarForm(n - 1, mono)
         )
+
+    @given(cs=st.integers(2, 12).flatmap(
+        lambda d: st.lists(st.integers(-20, 20), min_size=d + 1, max_size=d + 1)
+    ))
+    def test_remainder_is_value_and_slope_at_minus_one(self, cs):
+        # u(X) = a(X, 1) = r1*X + r0 mod (X + 1)^2, so r1 = u'(-1), r0 = u(-1) + u'(-1)
+        d = len(cs) - 1
+        value = sum(c * (-1) ** (d - k) for k, c in enumerate(cs))
+        slope = sum(c * (d - k) * (-1) ** (d - k - 1) for k, c in enumerate(cs) if k < d)
+        expected = BivarForm(d, [0] * (d - 1) + [slope, value + slope])
+        assert rem_mod_sum_square(BivarForm(d, cs)) == expected
 
     def test_quotient_frozen_values(self):
         assert str(power_sum_square_quotient(3)) == "1"

@@ -1,7 +1,8 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from seqdiv.coeff import PrimeField, Rationals
 from seqdiv.errors import (
@@ -14,6 +15,9 @@ from seqdiv.errors import (
 from seqdiv.polyring import (
     MAX_EXPONENT,
     Poly,
+    _exact_quotient_z,
+    _mul_raw,
+    _strip_power,
     exact_div,
     format_poly,
     ideals_coprime,
@@ -170,6 +174,37 @@ class TestValuation:
     def test_valuation_of_zero_rejected(self, rationals):
         with pytest.raises(ZeroArgument):
             valuation(parse_poly(rationals, "x"), Poly.zero(rationals))
+
+    @given(data=st.data(), field=st.sampled_from(FIELDS))
+    def test_strip_power_removes_every_factor(self, data, field):
+        q = data.draw(poly_strategy(field, max_degree=2).filter(lambda q: q.degree >= 1))
+        h = data.draw(poly_strategy(field, max_degree=3, nonzero=True))
+        k = data.draw(st.integers(0, 3))
+        e, rest = _strip_power(q, h * q**k)
+        assert e >= k and rest * q**e == h * q**k and not (rest % q).is_zero()
+
+
+INTS = st.lists(st.integers(-6, 6), min_size=1, max_size=6)
+NONZERO_LEAD = INTS.filter(lambda b: b[-1] != 0)
+
+
+class TestExactQuotientZ:
+    @given(a=INTS, b=NONZERO_LEAD)
+    def test_quotient_of_a_product(self, a, b):
+        assert _exact_quotient_z(_mul_raw(a, b), b) == a
+
+    @given(a=INTS, b=NONZERO_LEAD)
+    @example(a=[1, 0, 1], b=[1, 1])
+    @example(a=[1, 2], b=[1, 2])
+    @example(a=[2, 1], b=[2])
+    def test_none_exactly_when_not_divisible_over_z(self, a, b):
+        q, r = divmod(Poly(Rationals(), a), Poly(Rationals(), b))
+        integral = all(Fraction(c).denominator == 1 for c in q.coeffs)
+        got = _exact_quotient_z(a, b)
+        if r or not integral:
+            assert got is None
+        else:
+            assert Poly(Rationals(), got) == q
 
 
 class TestParseFormat:

@@ -402,6 +402,28 @@ class TestConfigParsing:
         with pytest.raises(ConfigInvalid):
             parse_config(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "text,key",
+        [
+            (FLAT + "n_mx = 20\n", "n_mx"),
+            (FLAT + "n_max = 9\n", "n_max"),
+            (FLAT.replace("fp", "q"), "p"),
+            (JSON_DOC.replace('"p": 3', '"p": 3, "q": 1'), "q"),
+            (JSON_DOC.replace('"type": "fp"', '"type": "q"'), "p"),
+            (JSON_DOC.replace('"type": "exhaustive"', '"type": "random", "count": 2, "sed": 5'), "sed"),
+            (JSON_DOC.replace('"type": "exhaustive"', '"type": "exhaustive", "count": 2'), "count"),
+            (JSON_DOC.replace('"n_max": 8', '"n_max": 8, "n_max": 9'), "n_max"),
+        ],
+        ids=[
+            "flat-unknown", "flat-repeated", "flat-p-without-fp", "json-field-extra",
+            "json-p-without-fp", "json-enumeration-typo", "json-exhaustive-count", "json-repeated",
+        ],
+    )
+    def test_unknown_and_repeated_keys_are_named(self, text, key):
+        assert text not in (self.FLAT, self.JSON_DOC)
+        with pytest.raises(ConfigInvalid, match=repr(key)):
+            parse_config(text)
+
     def test_json_include_excluded_boolean(self):
         doc = json.loads(self.JSON_DOC)
         doc["include_excluded"] = True
