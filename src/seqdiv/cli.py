@@ -23,7 +23,9 @@ from .polyring import parse_poly
 from .sequences import SeqKind, term, validate
 from .verifier import (
     ALL_CHECKS,
+    MAX_INDEX,
     CampaignConfig,
+    _at_most,
     _field_json,
     _flat_int,
     load_config,
@@ -202,9 +204,15 @@ def cmd_factor(args):
     return 0
 
 
-def _add_int_flag(sub, flag, **kwargs):
-    """An integer flag, read as SEQ_SEED and the flat config are: ConfigInvalid names it."""
-    sub.add_argument(flag, type=lambda text: _flat_int(flag, text), **kwargs)
+def _add_int_flag(sub, flag, cap=None, **kwargs):
+    """An integer flag, read as SEQ_SEED and the flat config are and at most
+    cap when one is given: ConfigInvalid names it."""
+
+    def parse(text):
+        value = _flat_int(flag, text)
+        return value if cap is None else _at_most(flag, value, cap)
+
+    sub.add_argument(flag, type=parse, **kwargs)
 
 
 def _add_field_flags(sub):
@@ -230,7 +238,7 @@ def build_parser():
 
     gen = sub.add_parser("gen", help="print terms 1..n")
     _add_pair_flags(gen)
-    _add_int_flag(gen, "--n", required=True)
+    _add_int_flag(gen, "--n", cap=MAX_INDEX, required=True)
     gen.add_argument("--json", action="store_true")
     gen.set_defaults(func=cmd_gen)
 
@@ -248,8 +256,8 @@ def build_parser():
     _add_int_flag(ver, "--p")
     ver.add_argument("--a")
     ver.add_argument("--b")
-    _add_int_flag(ver, "--n-max", default=12)
-    _add_int_flag(ver, "--m-max", default=12)
+    _add_int_flag(ver, "--n-max", cap=MAX_INDEX, default=12)
+    _add_int_flag(ver, "--m-max", cap=MAX_INDEX, default=12)
     ver.add_argument("--include-excluded", action="store_true")
     ver.add_argument("--json", action="store_true")
     ver.set_defaults(func=cmd_verify)

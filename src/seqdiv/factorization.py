@@ -20,14 +20,22 @@ Z, so each candidate allowed by the divisors of lead(c), c(0) and c(1) is
 tested by one exact division over Z.
 """
 
-import math
 import random
 from fractions import Fraction
 
 from .coeff import PrimeField, Rationals
 from .cyclokit import divisors
 from .errors import UnsupportedField, ZeroArgument
-from .polyring import Poly, _divrem_raw, _exact_quotient_z, _gcd_raw, _strip, exact_div, poly_gcd
+from .polyring import (
+    Poly,
+    _divrem_raw,
+    _exact_quotient_z,
+    _gcd_raw,
+    _int_form,
+    _strip,
+    exact_div,
+    poly_gcd,
+)
 
 __all__ = [
     "DEFAULT_SEED",
@@ -272,21 +280,6 @@ def is_irreducible_fp(h):
     return h.degree >= 1 and _ddf(f, h.field) == [(f, h.degree)]
 
 
-def _primitive_int_coeffs(f):
-    """Integer coefficient list of a Q-polynomial, content removed, positive lead."""
-    den = 1
-    for c in f.coeffs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    ints = [int(c * den) for c in f.coeffs]
-    g = 0
-    for c in ints:
-        g = math.gcd(g, c)
-    ints = [c // g for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return ints
-
-
 def _signed_divisors(n):
     return [s for d in divisors(abs(n)) for s in (d, -d)]
 
@@ -310,7 +303,7 @@ def low_degree_factors_q(h):
         raise ZeroArgument("zero polynomial")
     if h.degree < 1:
         return []
-    c = _primitive_int_coeffs(exact_div(h, poly_gcd(h, h.derivative())))
+    c = _int_form(exact_div(h, poly_gcd(h, h.derivative())).coeffs)[0]
     found = []
     if c[0] == 0:
         found.append(Poly.x(h.field))

@@ -3,22 +3,34 @@
 ``Poly`` stores raw coefficient values (lowest degree first, no trailing
 zeros) plus its field descriptor.  All arithmetic is exact.  The raw kernel
 below (``_reduce``, ``_inverse``, ``_monic_raw``, ``_divrem_raw``,
-``_gcd_raw``) is the only code that reads the characteristic: over F_p it
-works on integers congruent to the true values and reduces mod p where a
-value is read or leaves the kernel; over Q reduction is a no-op.  A Q value
-enters as an ``int`` unless it is fractional, and in the kernel only
-``_inverse`` makes a ``Fraction`` (a quotient may keep one with denominator
+``_gcd_raw``, ``_exact_quotient``, ``_strip_power``) is the only code that
+reads the characteristic: over F_p it works on integers congruent to the
+true values and reduces mod p where a value is read or leaves the kernel;
+over Q reduction is a no-op.  A Q value enters as an ``int`` unless it is
+fractional, and the kernel makes a ``Fraction`` only in ``_inverse`` and
+when it rescales an integer form (a quotient may keep one with denominator
 1, which compares, hashes and prints like the int).
 
+Over Q, exact division, the strip-power loop behind ``valuation`` and the
+gcd run on primitive integer forms (``_int_form``) and rescale a result once
+(``_scale``).  This is exact: by Gauss's lemma a primitive integer b divides
+a over Q exactly when it does over Z, so the first quotient coefficient that
+is not an integer proves that b does not divide a; the heuristic gcd
+(``_heu_gcd_z``) accepts its candidate only after two exact divisions, and
+when it gives up the Euclidean loop of ``_gcd_raw`` runs, as over F_p.
+``divmod`` keeps the Q arithmetic of ``_divrem_raw``.
+
 The integer forms of ``cyclokit`` and the rational divisor search share its
-exact quotient over Z (``_exact_quotient_z``); ``_strip_power`` and the
-signed-sum text ``_format_terms`` also have no other copy.
+exact quotient over Z (``_exact_quotient_z``) and its primitive integer form;
+``_strip_power`` and the signed-sum text ``_format_terms`` also have no other
+copy.
 
 Units of K[x] are the nonzero constants; two polynomials are associated
 exactly when their monic normalizations coincide, and ideals are identified
 with their unique monic (or zero) generator.
 """
 
+import math
 import re
 from fractions import Fraction
 
@@ -103,12 +115,18 @@ def _divrem_raw(a, b, field):
 
 
 def _gcd_raw(a, b, field):
-    """Monic gcd on raw lists via the Euclidean algorithm.
+    """Monic gcd on raw lists.
 
-    Reduction and strip run inline once per division step: this is the
-    hottest loop of a campaign, and a helper call per step is measurably slower.
+    Over Q, two nonzero arguments go to the heuristic gcd; the Euclidean loop
+    runs over F_p and when it gives up.  Reduction and strip run inline once
+    per division step: this is the hottest loop of a campaign, and a helper
+    call per step is measurably slower.
     """
     p = field.char
+    if not p and a and b:
+        g = _heu_gcd_z(_int_form(a)[0], _int_form(b)[0])
+        if g is not None:
+            return _scale(g, Fraction(1, g[-1]))
     a, b = list(a), list(b)
     while b:
         db = len(b) - 1
@@ -132,6 +150,38 @@ def _gcd_raw(a, b, field):
     return a
 
 
+# GCDHEU evaluation points tried before _gcd_raw falls back to Euclid.
+_HEU_GCD_TRIES = 6
+
+
+def _heu_gcd_z(f, g):
+    """Primitive gcd (positive lead) of two nonzero primitive integer lists; None if it gives up.
+
+    GCDHEU (Char, Geddes and Gonnet, J. Symb. Comput. 1989): for xi >=
+    2 * min(|f|, |g|) + 2 (max norms), the primitive part h of the balanced
+    xi-adic digits of gcd(f(xi), g(xi)) is gcd(f, g) exactly when h divides f
+    and g.  The first xi and its growth are sympy's (dup_zz_heu_gcd), without
+    the 99*sqrt(xi) cap that would take xi below that bound for large norms.
+    """
+    if len(f) == 1 or len(g) == 1:
+        return [1]
+    xi = 2 * min(max(map(abs, f)), max(map(abs, g))) + 29
+    for _ in range(_HEU_GCD_TRIES):
+        gamma = math.gcd(_horner(f, xi), _horner(g, xi))
+        h = []
+        while gamma:
+            d = gamma % xi
+            if d > xi // 2:
+                d -= xi
+            h.append(d)
+            gamma = (gamma - d) // xi
+        h = _int_form(h)[0]
+        if _exact_quotient_z(f, h) is not None and _exact_quotient_z(g, h) is not None:
+            return h
+        xi = xi * 73794 * math.isqrt(math.isqrt(xi)) // 27011
+    return None
+
+
 def _exact_quotient_z(a, b):
     """a / b on integer lists (lowest first, b[-1] != 0) over Z; None when b does not divide a."""
     n = len(b) - 1
@@ -147,6 +197,48 @@ def _exact_quotient_z(a, b):
             for i in range(n):
                 r[i + k] -= c * b[i]
     return None if any(r[:n]) else q
+
+
+def _exact_quotient(a, b, field):
+    """a / b on raw lists when b divides a, else None; DivisionByZero for b = 0.
+
+    Over Q it divides the primitive integer forms (Gauss's lemma) and rescales once.
+    """
+    if field.char or not a or not b:
+        q, r = _divrem_raw(a, b, field)
+        return None if r else q
+    (ca, sa), (cb, sb) = _int_form(a), _int_form(b)
+    q = _exact_quotient_z(ca, cb)
+    return None if q is None else _scale(q, Fraction(sa, sb))
+
+
+def _int_form(cs):
+    """(c, s) with cs = s * c for a nonzero Q raw list: c is the primitive
+    integer form (content removed, positive lead), s a rational."""
+    den = math.lcm(*[v.denominator for v in cs])
+    ints = [v.numerator * (den // v.denominator) for v in cs]
+    g = math.gcd(*ints)
+    if ints[-1] < 0:
+        g = -g
+    if g != 1:
+        ints = [v // g for v in ints]
+    return ints, g if den == 1 else Fraction(g, den)
+
+
+def _scale(cs, s):
+    """s * cs for an integer list cs and a rational s, each value an int when integral."""
+    num, den = s.numerator, s.denominator
+    if den == 1:
+        return cs if num == 1 else [c * num for c in cs]
+    return [v.numerator if (v := Fraction(c * num, den)).denominator == 1 else v for c in cs]
+
+
+def _horner(cs, v):
+    """Value of a raw list at v by Horner's rule, not reduced."""
+    acc = 0
+    for c in reversed(cs):
+        acc = acc * v + c
+    return acc
 
 
 class Poly:
@@ -291,11 +383,7 @@ class Poly:
 
     def __call__(self, v):
         """Evaluate by Horner's rule at a raw scalar."""
-        v = self.field.normalize(v)
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * v + c
-        return _reduce([acc], self.field)[0]
+        return _reduce([_horner(self.coeffs, self.field.normalize(v))], self.field)[0]
 
     def derivative(self):
         out = [c * k for k, c in enumerate(self.coeffs)][1:]
@@ -323,10 +411,11 @@ class Poly:
 
 def exact_div(a, b):
     """a / b when b | a exactly; NotDivisible otherwise."""
-    q, r = divmod(a, b)
-    if r:
+    a._check(b)
+    q = _exact_quotient(a.coeffs, b.coeffs, a.field)
+    if q is None:
         raise NotDivisible(f"({a}) is not divisible by ({b})")
-    return q
+    return Poly._make(a.field, q)
 
 
 def poly_gcd(a, b):
@@ -363,14 +452,24 @@ def valuation(q, h):
 
 
 def _strip_power(q, h):
-    """(e, h / q^e) for the largest e with q^e dividing h, q non-constant; (0, 0) for h = 0."""
+    """(e, h / q^e) for the largest e with q^e dividing h, q non-constant; (0, 0) for h = 0.
+
+    Over Q the loop divides the primitive integer forms and rescales once.
+    """
+    field, a, b = h.field, h.coeffs, q.coeffs
+    if not a:
+        return 0, h
+    if not field.char:
+        (a, sa), (b, sb) = _int_form(a), _int_form(b)
     e = 0
     while True:
-        qq, r = divmod(h, q)
-        if r or not h:
-            return e, h
-        h = qq
-        e += 1
+        c = _exact_quotient(a, b, field) if field.char else _exact_quotient_z(a, b)
+        if c is None:
+            break
+        a, e = c, e + 1
+    if not e:
+        return 0, h
+    return e, Poly._make(field, a if field.char else _scale(a, Fraction(sa, sb**e)))
 
 
 # --- text syntax ------------------------------------------------------------

@@ -34,6 +34,8 @@ from .sequences import SeqKind, cyclotomic_value, oracle_term, term, validate
 
 __all__ = [
     "ALL_CHECKS",
+    "MAX_INDEX",
+    "MAX_PARAM_DEGREE",
     "Exhaustive",
     "Random",
     "CampaignConfig",
@@ -150,6 +152,21 @@ class VerifyReport:
         }
 
 
+# Caps on the size of a campaign, which computes terms up to index n_max *
+# m_max of parameters of degree up to max_param_degree.  MAX_INDEX also caps
+# seq verify --n-max/--m-max and seq gen --n.  The acceptance tests, the
+# benchmark and the README stay far below them (index 40, degree 4).
+MAX_INDEX = 100
+MAX_PARAM_DEGREE = 32
+
+
+def _at_most(key, value, cap):
+    """value, or ConfigInvalid naming key when it exceeds cap."""
+    if value > cap:
+        raise ConfigInvalid(f"{key} must be at most {cap}, got {value}")
+    return value
+
+
 def validate_config(config):
     field = config.field
     if not isinstance(field, (Rationals, PrimeField)):
@@ -168,6 +185,9 @@ def validate_config(config):
         raise ConfigInvalid("max_param_degree must be >= 0")
     if config.m_max < 1 or config.n_max < 1:
         raise ConfigInvalid("index bounds must be positive")
+    _at_most("max_param_degree", config.max_param_degree, MAX_PARAM_DEGREE)
+    _at_most("n_max", config.n_max, MAX_INDEX)
+    _at_most("m_max", config.m_max, MAX_INDEX)
     needs_reports = {"zsigmondy", "primitive_part_phi"} & set(config.checks)
     if needs_reports and config.n_max < 3:
         raise ConfigInvalid("primitive-divisor checks need n_max >= 3")
@@ -541,12 +561,14 @@ def parse_config(text):
     """Build a CampaignConfig from JSON or key=value text.
 
     JSON keys: field {"type": "q"|"fp", "p"?}, kinds, max_param_degree,
-    enumeration {"type": "exhaustive"} or {"type": "random", "count", "seed"},
-    n_max, m_max, checks (names or "all"), include_excluded, params (pairs of
-    polynomial strings).  p, max_param_degree, n_max, m_max, count and seed
-    must be JSON integers, include_excluded a JSON boolean, kinds and checks
-    lists of strings, and params a list of two-string lists.  The
-    key=value format takes one key per line with # comments; lists are
+    enumeration {"type": "exhaustive"} or {"type": "random", "count", "seed"}
+    (or null beside params, as the --json report of an inline seq verify
+    writes it), n_max, m_max, checks (names or "all"), include_excluded,
+    params (pairs of polynomial strings).  p, max_param_degree, n_max, m_max,
+    count and seed must be JSON integers (max_param_degree at most
+    MAX_PARAM_DEGREE, n_max and m_max at most MAX_INDEX), include_excluded a
+    JSON boolean, kinds and checks lists of strings, and params a list of
+    two-string lists.  The key=value format takes one key per line with # comments; lists are
     comma-separated, params entries are semicolon-separated "a,b" pairs,
     enumeration is "exhaustive" or "random:count:seed", integers are
     optionally signed decimal digits, and include_excluded is one of
@@ -583,9 +605,11 @@ def _config_from_dict(doc):
     kinds = _parse_kinds(_json_strings("kinds", doc.get("kinds", [])))
     checks = _parse_checks(_json_strings("checks", doc.get("checks", [])))
     enum_desc = doc.get("enumeration", {"type": "exhaustive"})
-    if not isinstance(enum_desc, dict):
-        raise ConfigInvalid("enumeration must be an object with a type")
-    if enum_desc.get("type") == "exhaustive":
+    if enum_desc is None and "params" in doc:
+        enumeration = None  # as the report of an inline seq verify writes it
+    elif not isinstance(enum_desc, dict):
+        raise ConfigInvalid("enumeration must be an object with a type (or null beside params)")
+    elif enum_desc.get("type") == "exhaustive":
         _only_keys(enum_desc, ("type",), "enumeration 'exhaustive'")
         enumeration = Exhaustive()
     elif enum_desc.get("type") == "random":

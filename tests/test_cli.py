@@ -5,6 +5,7 @@ import pytest
 from seqdiv.cli import build_parser, main
 from seqdiv.coeff import PrimeField
 from seqdiv.polyring import parse_poly
+from seqdiv.verifier import MAX_INDEX, MAX_PARAM_DEGREE
 
 F5 = PrimeField(5)
 
@@ -318,6 +319,17 @@ class TestVerify:
         assert code == 2 and out == ""
         assert err.startswith("ConfigInvalid:") and repr(key) in err
 
+    def test_inline_report_config_round_trips(self, capsys, tmp_path):
+        first = run(capsys, *self.INLINE[:-4], "--n-max", "4", "--m-max", "4", "--json")
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(json.loads(first[1])["config"]), encoding="utf-8")
+        assert '"enumeration": null' in path.read_text(encoding="utf-8")
+        second = run(capsys, "verify", "--config", str(path), "--json")
+        docs = [json.loads(out) for _, out, _ in (first, second)]
+        for doc in docs:
+            del doc["wall_time"]
+        assert first[0] == second[0] == 0 and docs[0] == docs[1]
+
     def test_parser_is_built_once(self, capsys):
         assert build_parser() is build_parser()
         first = run(capsys, *self.INLINE, "--json")
@@ -470,6 +482,39 @@ class TestIntegerFlags:
         code, out, _ = run(capsys, "cyclo", "--n", "+06")
         assert code == 0
         assert out == run(capsys, "cyclo", "--n", "6")[1]
+
+
+class TestCaps:
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["gen", *PAIR, "--field", "q"], "--n"),
+            (["verify", *PAIR], "--n-max"),
+            (["verify", *PAIR], "--m-max"),
+        ],
+    )
+    def test_flag_above_the_cap_exits_2(self, capsys, argv, flag):
+        code, out, err = run(capsys, *argv, flag, str(MAX_INDEX + 1))
+        assert code == 2 and out == ""
+        assert err == f"ConfigInvalid: {flag} must be at most {MAX_INDEX}, got {MAX_INDEX + 1}\n"
+
+    def test_gen_at_the_cap(self, capsys):
+        code, out, _ = run(capsys, "gen", *PAIR, "--field", "q", "--n", str(MAX_INDEX))
+        assert code == 0 and len(out.splitlines()) == MAX_INDEX
+
+    @pytest.mark.parametrize(
+        "key,cap", [("n_max", MAX_INDEX), ("m_max", MAX_INDEX), ("max_param_degree", MAX_PARAM_DEGREE)]
+    )
+    @pytest.mark.parametrize("excess", [1, 10**9])
+    def test_config_key_above_the_cap_exits_2(self, capsys, tmp_path, key, cap, excess):
+        value = cap + excess
+        doc = {"field": {"type": "q"}, "kinds": ["lucas"], "checks": ["all"], "params": [["x", "1"]]}
+        doc[key] = value
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, "verify", "--config", str(path))
+        assert code == 2 and out == ""
+        assert err == f"ConfigInvalid: {key} must be at most {cap}, got {value}\n"
 
 
 class TestArgparseErrors:

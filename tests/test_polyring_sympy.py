@@ -4,6 +4,10 @@ sympy is a test-only dependency: the module is skipped without it.  Over
 F_p, sympy prints coefficients in symmetric form (-p/2 .. p/2), so they are
 taken mod p before comparing.  F_p degrees reach about 60 so that the long
 unreduced sums inside division and gcd are exercised.
+
+Over Q, exact division, valuation and gcd run on primitive integer forms;
+the tests below compare them with sympy, with plain division (divmod) and
+with the Euclidean gcd loop the heuristic gcd falls back to.
 """
 
 from fractions import Fraction
@@ -14,10 +18,23 @@ from hypothesis import strategies as st
 
 sympy = pytest.importorskip("sympy")
 
-from seqdiv.polyring import poly_gcd
+from seqdiv import polyring
+from seqdiv.coeff import Rationals
+from seqdiv.errors import NotDivisible
+from seqdiv.polyring import (
+    Poly,
+    _heu_gcd_z,
+    _int_form,
+    _strip_power,
+    exact_div,
+    parse_poly,
+    poly_gcd,
+    valuation,
+)
 
 from conftest import FIELDS, poly_strategy
 
+Q = Rationals()
 X = sympy.Symbol("x")
 
 
@@ -69,3 +86,113 @@ def test_kernel_matches_sympy(field, data):
     value = a(3)
     assert value == scalar(sa.eval(3), field)
     assert type(value) in (int, Fraction)
+
+
+def exact_types(f):
+    return all(type(c) in (int, Fraction) for c in f.coeffs)
+
+
+def euclid_gcd(a, b):
+    """poly_gcd with the heuristic switched off: the Euclidean loop alone."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polyring, "_HEU_GCD_TRIES", 0)
+        return poly_gcd(a, b)
+
+
+SCALES = st.sampled_from([1, -1, 6, Fraction(1, 6), Fraction(-4, 9)])
+
+
+@given(data=st.data(), s=SCALES, t=SCALES)
+def test_q_gcd_matches_sympy_and_euclid(data, s, t):
+    """Non-monic, non-primitive and Fraction inputs, zero arguments included."""
+    common = data.draw(poly_strategy(Q, 4))
+    a = data.draw(poly_strategy(Q, 8)) * common * s
+    b = data.draw(poly_strategy(Q, 8)) * common * t
+    g = poly_gcd(a, b)
+    assert g.coeffs == from_sympy(sympy.gcd(to_sympy(a), to_sympy(b)).monic(), Q)
+    assert g == euclid_gcd(a, b) and exact_types(g)
+
+
+@pytest.mark.parametrize("m", range(1, 60))
+def test_q_gcd_needs_the_evaluation_bound(m):
+    """gcd((x-m)(x+1), (x-m)(x+2)) = x-m.  Both arguments of the min norm m.
+    At any integer xi below 2m+1 the integer gcd of the values reconstructs
+    a proper divisor that the divisions accept (at xi = 2m it is the constant
+    m), so a start below the bound of GCDHEU gives 1 here."""
+    f, g = Poly(Q, [-m, 1 - m, 1]), Poly(Q, [-2 * m, 2 - m, 1])
+    assert _heu_gcd_z(list(f.coeffs), list(g.coeffs)) == [-m, 1]
+    assert poly_gcd(f, g) == poly_gcd(f * Fraction(2, 3), g * -5) == Poly(Q, [-m, 1])
+
+
+@pytest.mark.parametrize(
+    "f,g",
+    [
+        ([0, 3, 2], [-1, 1, -1, 1]),
+        ([-2, -1, 3, -3, 1], [6, -7, 0, 1]),
+        ([6, -7, 12, -6, 9], [4, -4, 3, 3]),
+    ],
+    ids=["divides-f-only", "divides-g-only", "divides-neither"],
+)
+def test_q_gcd_rejects_a_false_reconstruction(f, g):
+    """At the first evaluation point the reconstruction of the integer gcd is
+    2x+3, x^2+x-6 and x^3+x^2-x-11, which divides only f, only g, and neither;
+    each of the two divisions is needed to reject it."""
+    f, g = Poly(Q, f), Poly(Q, g)
+    expected = from_sympy(sympy.gcd(to_sympy(f), to_sympy(g)).monic(), Q)
+    assert poly_gcd(f, g).coeffs == euclid_gcd(f, g).coeffs == expected
+
+
+@given(data=st.data())
+def test_q_gcd_heuristic_matches_euclid_on_integer_forms(data):
+    """Where the heuristic answers, it agrees with Euclid; on these inputs it always answers."""
+    common = data.draw(poly_strategy(Q, 5, nonzero=True))
+    a = data.draw(poly_strategy(Q, 10, nonzero=True)) * common
+    b = data.draw(poly_strategy(Q, 10, nonzero=True)) * common
+    h = _heu_gcd_z(_int_form(a.coeffs)[0], _int_form(b.coeffs)[0])
+    assert h is not None and h[-1] > 0
+    assert Poly(Q, h).monic() == euclid_gcd(a, b)
+
+
+def divmod_valuation(q, h):
+    e = 0
+    while True:
+        quo, rem = divmod(h, q)
+        if rem:
+            return e, h
+        h, e = quo, e + 1
+
+
+def check_division(q, h):
+    """exact_div, _strip_power and valuation of h by q against plain division."""
+    quo, rem = divmod(h, q)
+    if rem:
+        with pytest.raises(NotDivisible):
+            exact_div(h, q)
+    else:
+        got = exact_div(h, q)
+        assert got == quo and exact_types(got)
+    if h:
+        e, rest = _strip_power(q, h)
+        assert (e, rest) == divmod_valuation(q, h) and exact_types(rest)
+        assert valuation(q, h) == e
+
+
+@given(data=st.data(), s=SCALES)
+def test_q_exact_div_and_valuation_match_divmod(data, s):
+    """The integer-form division agrees with plain division, divisible or not."""
+    q = data.draw(poly_strategy(Q, 3).filter(lambda f: f.degree >= 1)) * s
+    h = data.draw(poly_strategy(Q, 6, nonzero=True))
+    check_division(q, h)
+    check_division(q, h * q ** data.draw(st.integers(0, 3)) + data.draw(poly_strategy(Q, 1)))
+
+
+@pytest.mark.parametrize(
+    "h",
+    ["x^2", "2*x^2+3*x+2", "3/4*x^2+3/4*x+3/16", "0"],
+    ids=["fails-at-first-coefficient", "fails-at-remainder", "fraction-square", "zero"],
+)
+def test_q_exact_div_pinned(h):
+    """Divided by 2x+1: x^2 fails at the first quotient coefficient over Z,
+    2x^2+3x+2 = (2x+1)(x+1)+1 only at the remainder, and 3/4 (x+1/2)^2 has
+    valuation 2 with cofactor 3/16."""
+    check_division(parse_poly(Q, "2*x+1"), parse_poly(Q, h))

@@ -287,6 +287,13 @@ class TestConfigParsing:
         }
     )
 
+    def test_null_enumeration_only_beside_params(self):
+        doc = {"field": {"type": "q"}, "kinds": ["lucas"], "checks": ["all"], "enumeration": None}
+        with pytest.raises(ConfigInvalid, match="null beside params"):
+            parse_config(json.dumps(doc))
+        cfg = parse_config(json.dumps({**doc, "params": [["x", "1"]]}))
+        assert cfg.enumeration is None and cfg.to_json()["enumeration"] is None
+
     def test_flat_equals_json(self):
         assert parse_config(self.FLAT) == parse_config(self.JSON_DOC)
 
