@@ -244,8 +244,8 @@ def build_parser():
 
     prim = sub.add_parser("primitive", help="primitive-divisor reports")
     _add_pair_flags(prim)
-    _add_int_flag(prim, "--n", help="single index")
-    _add_int_flag(prim, "--n-max", help="report every index 1..n_max")
+    _add_int_flag(prim, "--n", cap=MAX_INDEX, help="single index")
+    _add_int_flag(prim, "--n-max", cap=MAX_INDEX, help="report every index 1..n_max")
     prim.add_argument("--json", action="store_true")
     prim.set_defaults(func=cmd_primitive)
 
@@ -263,13 +263,13 @@ def build_parser():
     ver.set_defaults(func=cmd_verify)
 
     cyc = sub.add_parser("cyclo", help="homogeneous cyclotomic form")
-    _add_int_flag(cyc, "--n", required=True)
+    _add_int_flag(cyc, "--n", cap=MAX_INDEX, required=True)
     cyc.add_argument("--json", action="store_true")
     cyc.set_defaults(func=cmd_cyclo)
 
     res = sub.add_parser("resultant", help="resultant of two power-sum forms")
-    _add_int_flag(res, "--m", required=True)
-    _add_int_flag(res, "--n", required=True)
+    _add_int_flag(res, "--m", cap=MAX_INDEX, required=True)
+    _add_int_flag(res, "--n", cap=MAX_INDEX, required=True)
     res.add_argument("--json", action="store_true")
     res.set_defaults(func=cmd_resultant)
 

@@ -2,7 +2,7 @@
 
 ``Poly`` stores raw coefficient values (lowest degree first, no trailing
 zeros) plus its field descriptor.  All arithmetic is exact.  The raw kernel
-below (``_reduce``, ``_inverse``, ``_monic_raw``, ``_divrem_raw``,
+below (``_reduce``, ``_add_raw``, ``_inverse``, ``_monic_raw``, ``_divrem_raw``,
 ``_gcd_raw``, ``_exact_quotient``, ``_strip_power``) is the only code that
 reads the characteristic: over F_p it works on integers congruent to the
 true values and reduces mod p where a value is read or leaves the kernel;
@@ -20,6 +20,14 @@ is not an integer proves that b does not divide a; the heuristic gcd
 when it gives up the Euclidean loop of ``_gcd_raw`` runs, as over F_p.
 ``divmod`` keeps the Q arithmetic of ``_divrem_raw``.
 
+Over F_p with p <= 13 the Euclidean loop of ``_gcd_raw`` runs on
+byte-packed ints, one coefficient per byte: a division step adds at most
+(p-1)^2 to a slot, so a slot that starts below p stays below 256 for
+room = (256 - p) // (p-1)^2 steps, and one ``bytes.translate`` reduces every
+slot mod p after each division and every room steps (room >= 1 only for
+p <= 16).  Product and division stay on lists: in the campaigns their
+shorter F_p operand has 2-5 coefficients, too few for a packed step to pay.
+
 The integer forms of ``cyclokit`` and the rational divisor search share its
 exact quotient over Z (``_exact_quotient_z``) and its primitive integer form;
 ``_strip_power`` and the signed-sum text ``_format_terms`` also have no other
@@ -33,6 +41,8 @@ with their unique monic (or zero) generator.
 import math
 import re
 from fractions import Fraction
+from functools import lru_cache
+from itertools import zip_longest
 
 from .errors import (
     DivisionByZero,
@@ -66,6 +76,16 @@ def _reduce(cs, field):
     """Canonical values of a raw list: residues mod p over F_p, as is over Q."""
     p = field.char
     return [c % p for c in cs] if p else cs
+
+
+def _add_raw(a, b, field, sub=False):
+    """a + b, or a - b when sub, on canonical raw sequences, reduced in the same
+    pass; the result may end in zeros."""
+    p = field.char
+    pairs = zip_longest(a, b, fillvalue=0)
+    if sub:
+        return [(x - y) % p for x, y in pairs] if p else [x - y for x, y in pairs]
+    return [(x + y) % p for x, y in pairs] if p else [x + y for x, y in pairs]
 
 
 def _mul_raw(a, b):
@@ -115,39 +135,87 @@ def _divrem_raw(a, b, field):
 
 
 def _gcd_raw(a, b, field):
-    """Monic gcd on raw lists.
+    """Monic gcd on raw lists (canonical over F_p).
 
     Over Q, two nonzero arguments go to the heuristic gcd; the Euclidean loop
-    runs over F_p and when it gives up.  Reduction and strip run inline once
-    per division step: this is the hottest loop of a campaign, and a helper
-    call per step is measurably slower.
+    runs over F_p and when it gives up.
+
+    Over F_p with p <= 13 the loop runs on byte-packed ints, highest degree
+    in the lowest byte.  A division step reads the lowest slot s, takes
+    q = -(s mod p) / lead mod p from the 256-entry row of the divisor's
+    lead, adds q times the divisor and shifts the cleared slot (a multiple
+    of p) out: one big-int update.  A step adds at most (p-1)^2 to a slot,
+    so a slot that starts below p stays below 256 and never carries into
+    its neighbour for room = (256 - p) // (p-1)^2 steps; one bytes.translate
+    reduces every slot mod p after each division and, when a division takes
+    more than room steps, before step room + 1.  room >= 1 only for p <= 16.
+
+    The list loop serves larger p and the Q fallback.  Its reduction and
+    strip run inline once per division step: this is the hottest loop of a
+    campaign, and a helper call per step is measurably slower.
     """
     p = field.char
     if not p and a and b:
         g = _heu_gcd_z(_int_form(a)[0], _int_form(b)[0])
         if g is not None:
             return _scale(g, Fraction(1, g[-1]))
-    a, b = list(a), list(b)
-    while b:
-        db = len(b) - 1
-        inv = _inverse(b[db], p)
-        r = a
-        while len(r) > db:
-            c = r.pop() * inv
+    if 0 < p <= _BYTE_SLOT_MAX_P:
+        mod_p, rows, room = _byte_slot_tables(p)
+        if len(a) < len(b):
+            a, b = b, a
+        a, b = bytes(a[::-1]), bytes(b[::-1])
+        r = int.from_bytes(a, "little")
+        while b:
+            db = len(b) - 1
+            row, d, steps = rows[b[0]], int.from_bytes(b, "little"), 0
+            for m in range(len(a), db, -1):  # r has m slots
+                q = row[r & 255]
+                if q:
+                    if steps == room:
+                        r = int.from_bytes(r.to_bytes(m, "little").translate(mod_p), "little")
+                        steps = 0
+                    r += q * d
+                    steps += 1
+                r >>= 8
+            a, b, r = b, r.to_bytes(db, "little").translate(mod_p).lstrip(b"\0"), d
+        a = list(a[::-1])
+    else:
+        a, b = list(a), list(b)
+        while b:
+            db = len(b) - 1
+            inv = _inverse(b[db], p)
+            r = a
+            while len(r) > db:
+                c = r.pop() * inv
+                if p:
+                    c %= p
+                if c:
+                    k = len(r) - db
+                    for i in range(db):
+                        r[i + k] -= c * b[i]
             if p:
-                c %= p
-            if c:
-                k = len(r) - db
-                for i in range(db):
-                    r[i + k] -= c * b[i]
-        if p:
-            r = [c % p for c in r]
-        while r and not r[-1]:
-            r.pop()
-        a, b = b, r
+                r = [c % p for c in r]
+            while r and not r[-1]:
+                r.pop()
+            a, b = b, r
     if a and a[-1] != 1:
         a = _monic_raw(a, field)
     return a
+
+
+# The largest prime with room >= 1 in the byte-packed loop of _gcd_raw.
+_BYTE_SLOT_MAX_P = 13
+
+
+@lru_cache(maxsize=None)  # one entry per prime p <= 13, at most 3.3 KB each
+def _byte_slot_tables(p):
+    """(mod-p translate table, quotient rows by divisor lead, room) for _gcd_raw."""
+    mod_p = bytes(s % p for s in range(256))
+    rows = [b""]
+    for lead in range(1, p):
+        inv = _inverse(lead, p)
+        rows.append(bytes(-s * inv % p for s in range(256)))
+    return mod_p, rows, (256 - p) // (p - 1) ** 2
 
 
 # GCDHEU evaluation points tried before _gcd_raw falls back to Euclid.
@@ -321,12 +389,7 @@ class Poly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        out[: len(b)] = _reduce([x + y for x, y in zip(a, b)], self.field)
-        return Poly._make(self.field, out)
+        return Poly._make(self.field, _add_raw(self.coeffs, other.coeffs, self.field))
 
     __radd__ = __add__
 
@@ -337,13 +400,13 @@ class Poly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return Poly._make(self.field, _add_raw(self.coeffs, other.coeffs, self.field, sub=True))
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return Poly._make(self.field, _add_raw(other.coeffs, self.coeffs, self.field, sub=True))
 
     def __mul__(self, other):
         other = self._coerce(other)

@@ -154,8 +154,10 @@ class VerifyReport:
 
 # Caps on the size of a campaign, which computes terms up to index n_max *
 # m_max of parameters of degree up to max_param_degree.  MAX_INDEX also caps
-# seq verify --n-max/--m-max and seq gen --n.  The acceptance tests, the
-# benchmark and the README stay far below them (index 40, degree 4).
+# every index flag of the CLI: seq verify --n-max/--m-max, seq gen --n,
+# seq primitive --n/--n-max, seq cyclo --n and seq resultant --m/--n.  The
+# acceptance tests, the benchmark and the README stay far below them (index
+# 40, degree 4).
 MAX_INDEX = 100
 MAX_PARAM_DEGREE = 32
 

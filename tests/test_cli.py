@@ -491,6 +491,11 @@ class TestCaps:
             (["gen", *PAIR, "--field", "q"], "--n"),
             (["verify", *PAIR], "--n-max"),
             (["verify", *PAIR], "--m-max"),
+            (["primitive", *PAIR, "--field", "q"], "--n"),
+            (["primitive", *PAIR, "--field", "q"], "--n-max"),
+            (["cyclo"], "--n"),
+            (["resultant", "--n", "1"], "--m"),
+            (["resultant", "--m", "1"], "--n"),
         ],
     )
     def test_flag_above_the_cap_exits_2(self, capsys, argv, flag):

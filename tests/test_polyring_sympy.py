@@ -5,6 +5,10 @@ F_p, sympy prints coefficients in symmetric form (-p/2 .. p/2), so they are
 taken mod p before comparing.  F_p degrees reach about 60 so that the long
 unreduced sums inside division and gcd are exercised.
 
+Over F_p the gcd has two Euclidean loops, byte-packed for p <= 13 and on
+lists above; both are compared with sympy, including inputs that take the
+packed slots to their bound.
+
 Over Q, exact division, valuation and gcd run on primitive integer forms;
 the tests below compare them with sympy, with plain division (divmod) and
 with the Euclidean gcd loop the heuristic gcd falls back to.
@@ -19,7 +23,7 @@ from hypothesis import strategies as st
 sympy = pytest.importorskip("sympy")
 
 from seqdiv import polyring
-from seqdiv.coeff import Rationals
+from seqdiv.coeff import PrimeField, Rationals
 from seqdiv.errors import NotDivisible
 from seqdiv.polyring import (
     Poly,
@@ -86,6 +90,57 @@ def test_kernel_matches_sympy(field, data):
     value = a(3)
     assert value == scalar(sa.eval(3), field)
     assert type(value) in (int, Fraction)
+
+
+def sympy_gcd(a, b):
+    return from_sympy(sympy.gcd(to_sympy(a), to_sympy(b)).monic(), a.field)
+
+
+# 2..13 take the byte-packed loop (11 and 13 renormalize within a division),
+# 17 and 2^31 - 1 the list loop.
+GCD_PRIMES = (2, 3, 5, 7, 11, 13, 17, 2**31 - 1)
+
+
+@pytest.mark.parametrize("p", GCD_PRIMES)
+@given(data=st.data())
+def test_fp_gcd_matches_sympy(p, data):
+    """Degrees up to 60 around a drawn common factor, which may be zero or a
+    constant, as may either cofactor."""
+    field = PrimeField(p)
+    common = data.draw(poly_strategy(field, 6))
+    a = data.draw(poly_strategy(field, 54)) * common
+    b = data.draw(poly_strategy(field, 54)) * common
+    g = poly_gcd(a, b)
+    assert g.coeffs == sympy_gcd(a, b)
+    assert poly_gcd(b, a) == g
+
+
+@pytest.mark.parametrize("p", GCD_PRIMES)
+def test_fp_gcd_zero_and_constants(p):
+    field = PrimeField(p)
+    zero, one = Poly.zero(field), Poly.one(field)
+    c, f = Poly(field, [p - 1]), Poly(field, [1, 0, p - 1, p - 1])
+    for a, b, g in [(zero, zero, zero), (zero, c, one), (c, f, one), (zero, f, f.monic())]:
+        assert poly_gcd(a, b) == poly_gcd(b, a) == g
+        assert g.coeffs == sympy_gcd(a, b)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_fp_gcd_at_the_slot_bound(p):
+    """The first division adds the most a step can, (p-1)^2, to every slot.
+    The divisor b has every coefficient p-1 and degree room + 2, and a = b*c
+    where the top room + 1 coefficients of c are 1, so each of the first
+    room + 1 quotient steps is q = p-1; the next two coefficients of c make
+    the two slots below those steps start at p-1.  After room steps those
+    slots reach p-1 + room (p-1)^2 <= 255, the bound; one step more before
+    the renormalization would carry.  The gcd is b itself, so a carry that
+    spoils the remainder shows."""
+    room = (256 - p) // (p - 1) ** 2
+    field = PrimeField(p)
+    b = Poly(field, [p - 1] * (room + 3))
+    a = b * Poly(field, [0, -room] + [1] * (room + 1))
+    assert poly_gcd(a, b) == poly_gcd(b, a) == b.monic()
+    assert b.monic().coeffs == sympy_gcd(a, b)
 
 
 def exact_types(f):
