@@ -24,6 +24,7 @@ from .sequences import SeqKind, term, validate
 from .verifier import (
     ALL_CHECKS,
     MAX_INDEX,
+    MAX_PARAM_DEGREE,
     CampaignConfig,
     _at_most,
     _field_json,
@@ -50,6 +51,8 @@ def _params_from_args(args):
     field = _field_from_args(args)
     a = parse_poly(field, args.a)
     b = parse_poly(field, args.b)
+    _at_most("--a degree", a.degree, MAX_PARAM_DEGREE)
+    _at_most("--b degree", b.degree, MAX_PARAM_DEGREE)
     return validate(SeqKind(args.kind), field, a, b)
 
 

@@ -9,9 +9,11 @@ generator so runs are reproducible, and factors are returned in a canonical
 order either way.
 
 The distinct- and equal-degree steps work on raw lists in one
-``_QuotientRing`` F_p[x]/(f) per monic modulus f: Kronecker substitution packs
-each operand into one int, so a product is one multiply, then its slots are
-reduced mod p and mod f.
+``_QuotientRing`` F_p[x]/(f) per squarefree part f: Kronecker substitution
+packs each operand into one int, so a product is one multiply, then its
+slots are reduced mod p and mod f.  Every cofactor and split factor g they
+take a gcd with divides f, so gcd(g, h mod f) = gcd(g, h): the ring is never
+rebuilt for a smaller modulus.
 
 Over Q only the divisors of degree 1 and 2 are searched for, on the
 primitive integer form c of the squarefree part.  By Gauss's lemma a
@@ -208,33 +210,30 @@ def squarefree_decomp(h):
     return Factorization(h.field, unit, _sqf(f))
 
 
-def _ddf(f, field):
-    """Distinct-degree split of a monic squarefree raw list over F_p."""
+def _ddf(f, ring, field):
+    """Distinct-degree split of a monic squarefree raw list over F_p; ring is F_p[x]/(f)."""
     p = field.p
     out = []
-    h = [0, 1]
+    h = ring.pack([0, 1])
     d = 1
-    ring = _QuotientRing(f, p)
     while len(f) > 2 * d:
-        h = ring.unpack(ring.pow(ring.pack(h), p))
-        g = _gcd_raw(f, _minus_monomial(h, 1, p), field)
+        h = ring.pow(h, p)
+        g = _gcd_raw(f, _minus_monomial(ring.unpack(h), 1, p), field)
         if len(g) > 1:
             out.append((g, d))
             f = _divrem_raw(f, g, field)[0]
-            h = _divrem_raw(h, f, field)[1]
-            ring = _QuotientRing(f, p)
         d += 1
     if len(f) > 1:
         out.append((f, len(f) - 1))
     return out
 
 
-def _edf(f, d, rng, field):
-    """Equal-degree split: f is monic squarefree raw, all factors of degree d."""
+def _edf(f, d, ring, rng, field):
+    """Equal-degree split: f is monic squarefree raw, all factors of degree d,
+    and divides the modulus of ring."""
     if len(f) - 1 == d:
         return [f]
     p = field.p
-    ring = _QuotientRing(f, p)
     while True:
         r = [rng.randrange(p) for _ in range(rng.randrange(len(f) - 1))]
         r.append(rng.randrange(1, p))
@@ -249,7 +248,8 @@ def _edf(f, d, rng, field):
             t = ring.unpack(ring.pow(ring.pack(r), (p**d - 1) // 2))
             g = _gcd_raw(f, _minus_monomial(t, 0, p), field)
         if 1 < len(g) < len(f):
-            return _edf(g, d, rng, field) + _edf(_divrem_raw(f, g, field)[0], d, rng, field)
+            rest = _divrem_raw(f, g, field)[0]
+            return _edf(g, d, ring, rng, field) + _edf(rest, d, ring, rng, field)
 
 
 def factor_fp(h, seed=None):
@@ -265,8 +265,9 @@ def factor_fp(h, seed=None):
     rng = random.Random(DEFAULT_SEED if seed is None else seed)
     factors = []
     for part, mult in _sqf(f):
-        for prod, d in _ddf(list(part.coeffs), h.field):
-            for q in _edf(prod, d, rng, h.field):
+        ring = _QuotientRing(part.coeffs, h.field.p)
+        for prod, d in _ddf(list(part.coeffs), ring, h.field):
+            for q in _edf(prod, d, ring, rng, h.field):
                 factors.append((Poly._make(h.field, q), mult))
     return Factorization(h.field, unit, factors)
 
@@ -277,7 +278,7 @@ def is_irreducible_fp(h):
     if not isinstance(h.field, PrimeField):
         raise UnsupportedField("irreducibility test is implemented over F_p only")
     f = list(h.monic().coeffs)
-    return h.degree >= 1 and _ddf(f, h.field) == [(f, h.degree)]
+    return h.degree >= 1 and _ddf(f, _QuotientRing(f, h.field.p), h.field) == [(f, h.degree)]
 
 
 def _signed_divisors(n):

@@ -17,8 +17,9 @@ gcd run on primitive integer forms (``_int_form``) and rescale a result once
 a over Q exactly when it does over Z, so the first quotient coefficient that
 is not an integer proves that b does not divide a; the heuristic gcd
 (``_heu_gcd_z``) accepts its candidate only after two exact divisions, and
-when it gives up the Euclidean loop of ``_gcd_raw`` runs, as over F_p.
-``divmod`` keeps the Q arithmetic of ``_divrem_raw``.
+when it gives up (or an argument is zero) ``_gcd_raw`` runs Euclid on the
+remainders of ``_divrem_raw``, as over F_p with p > 13.  ``divmod`` keeps
+the Q arithmetic of ``_divrem_raw``.
 
 Over F_p with p <= 13 the Euclidean loop of ``_gcd_raw`` runs on
 byte-packed ints, one coefficient per byte: a division step adds at most
@@ -150,9 +151,8 @@ def _gcd_raw(a, b, field):
     reduces every slot mod p after each division and, when a division takes
     more than room steps, before step room + 1.  room >= 1 only for p <= 16.
 
-    The list loop serves larger p and the Q fallback.  Its reduction and
-    strip run inline once per division step: this is the hottest loop of a
-    campaign, and a helper call per step is measurably slower.
+    For p > 13, and over Q with a zero argument or when the heuristic gives
+    up, each remainder is the one of ``_divrem_raw``.
     """
     p = field.char
     if not p and a and b:
@@ -180,24 +180,8 @@ def _gcd_raw(a, b, field):
             a, b, r = b, r.to_bytes(db, "little").translate(mod_p).lstrip(b"\0"), d
         a = list(a[::-1])
     else:
-        a, b = list(a), list(b)
         while b:
-            db = len(b) - 1
-            inv = _inverse(b[db], p)
-            r = a
-            while len(r) > db:
-                c = r.pop() * inv
-                if p:
-                    c %= p
-                if c:
-                    k = len(r) - db
-                    for i in range(db):
-                        r[i + k] -= c * b[i]
-            if p:
-                r = [c % p for c in r]
-            while r and not r[-1]:
-                r.pop()
-            a, b = b, r
+            a, b = b, _divrem_raw(a, b, field)[1]
     if a and a[-1] != 1:
         a = _monic_raw(a, field)
     return a

@@ -155,9 +155,10 @@ class VerifyReport:
 # Caps on the size of a campaign, which computes terms up to index n_max *
 # m_max of parameters of degree up to max_param_degree.  MAX_INDEX also caps
 # every index flag of the CLI: seq verify --n-max/--m-max, seq gen --n,
-# seq primitive --n/--n-max, seq cyclo --n and seq resultant --m/--n.  The
-# acceptance tests, the benchmark and the README stay far below them (index
-# 40, degree 4).
+# seq primitive --n/--n-max, seq cyclo --n and seq resultant --m/--n.
+# MAX_PARAM_DEGREE also caps the degree of every explicit params pair and of
+# --a and --b in seq gen and seq primitive.  The acceptance tests, the
+# benchmark and the README stay far below them (index 40, degree 4).
 MAX_INDEX = 100
 MAX_PARAM_DEGREE = 32
 
@@ -199,6 +200,7 @@ def validate_config(config):
         for pair in config.params:
             if len(pair) != 2 or any(q.field != field for q in pair):
                 raise ConfigInvalid("explicit parameters must be pairs over the config field")
+            _at_most("params degree", max(q.degree for q in pair), MAX_PARAM_DEGREE)
         return
     if isinstance(config.enumeration, Exhaustive):
         if not field.char or field.p > 7 or config.max_param_degree > 3:
@@ -522,7 +524,7 @@ def _field_from_desc(fdesc):
 
 def _parse_kinds(values):
     try:
-        return tuple(SeqKind(v) for v in values)
+        return tuple(dict.fromkeys(SeqKind(v) for v in values))
     except ValueError as exc:
         raise ConfigInvalid(str(exc)) from exc
 
@@ -536,13 +538,7 @@ def _parse_checks(values):
             out.append(v)
         else:
             raise ConfigInvalid(f"unknown check {v!r}")
-    seen = set()
-    uniq = []
-    for v in out:
-        if v not in seen:
-            seen.add(v)
-            uniq.append(v)
-    return tuple(uniq)
+    return tuple(dict.fromkeys(out))
 
 
 def _parse_param_pairs(field, pairs):
@@ -570,7 +566,9 @@ def parse_config(text):
     count and seed must be JSON integers (max_param_degree at most
     MAX_PARAM_DEGREE, n_max and m_max at most MAX_INDEX), include_excluded a
     JSON boolean, kinds and checks lists of strings, and params a list of
-    two-string lists.  The key=value format takes one key per line with # comments; lists are
+    two-string lists, each polynomial of degree at most MAX_PARAM_DEGREE; a
+    repeated kind or check is kept once, at its first place.  The key=value
+    format takes one key per line with # comments; lists are
     comma-separated, params entries are semicolon-separated "a,b" pairs,
     enumeration is "exhaustive" or "random:count:seed", integers are
     optionally signed decimal digits, and include_excluded is one of

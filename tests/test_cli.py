@@ -521,6 +521,46 @@ class TestCaps:
         assert code == 2 and out == ""
         assert err == f"ConfigInvalid: {key} must be at most {cap}, got {value}\n"
 
+    @pytest.mark.parametrize("cmd", ["gen", "primitive"])
+    @pytest.mark.parametrize("flag", ["--a", "--b"])
+    def test_parameter_degree_above_the_cap_exits_2(self, capsys, cmd, flag):
+        pair = {"--a": "x+1", "--b": "x", flag: f"x^{MAX_PARAM_DEGREE + 1}+x+1"}
+        argv = [cmd, "--kind", "power", "--field", "fp", "--p", "3", "--n", "3"]
+        code, out, err = run(capsys, *argv, *[v for item in pair.items() for v in item])
+        assert code == 2 and out == ""
+        cap = MAX_PARAM_DEGREE
+        assert err == f"ConfigInvalid: {flag} degree must be at most {cap}, got {cap + 1}\n"
+
+    @pytest.mark.parametrize("cmd", ["gen", "primitive"])
+    def test_parameter_degree_at_the_cap(self, capsys, cmd):
+        a = f"x^{MAX_PARAM_DEGREE}+x+1"
+        code, out, _ = run(capsys, cmd, "--kind", "power", "--field", "fp", "--p", "3",
+                           "--a", a, "--b", "x", "--n", "3")
+        assert code == 0 and out
+
+    @pytest.mark.parametrize("fmt", ["json", "flat"])
+    @pytest.mark.parametrize("degree, code", [(MAX_PARAM_DEGREE, 0), (MAX_PARAM_DEGREE + 1, 2)])
+    def test_params_entry_degree_cap(self, capsys, tmp_path, fmt, degree, code):
+        a = f"x^{degree}+x+1"
+        path = tmp_path / "c.cfg"
+        if fmt == "json":
+            doc = {"field": {"type": "fp", "p": 3}, "kinds": ["power"], "checks": ["strong_div"],
+                   "n_max": 3, "m_max": 3, "params": [["x", "1"], [a, "x"]]}
+            path.write_text(json.dumps(doc), encoding="utf-8")
+        else:
+            path.write_text(
+                "field = fp\np = 3\nkinds = power\nchecks = strong_div\n"
+                f"n_max = 3\nm_max = 3\nparams = x,1; {a},x\n",
+                encoding="utf-8",
+            )
+        got, out, err = run(capsys, "verify", "--config", str(path))
+        assert got == code
+        if code == 2:
+            assert out == ""
+            assert err == (
+                f"ConfigInvalid: params degree must be at most {MAX_PARAM_DEGREE}, got {degree}\n"
+            )
+
 
 class TestArgparseErrors:
     def test_verify_has_no_seed_flag(self, capsys):

@@ -62,6 +62,34 @@ class TestFactorFp:
         assert fact.expand() == parse_poly(f3, "x^9-x")
         assert all(e == 1 for _, e in fact)
 
+    @pytest.mark.parametrize(
+        "p, factors, expected",
+        [
+            # the trace branch; three quartics need a split inside a split
+            (
+                2,
+                "x, x+1, x^2+x+1, x^3+x+1, x^3+x^2+1, x^4+x+1, x^4+x^3+1, x^4+x^3+x^2+x+1",
+                "(x)(x+1)(x^2+x+1)(x^3+x^2+1)(x^3+x+1)(x^4+x^3+1)(x^4+x+1)(x^4+x^3+x^2+x+1)",
+            ),
+            # five linears need a split inside a split; (x^2+x+1)^2 makes a
+            # second squarefree part
+            (
+                5,
+                "x^5-x, x^2+2, x^2+3, x^3+x+1, x^2+x+1, x^2+x+1",
+                "(x)(x+1)(x+2)(x+3)(x+4)(x^2+x+1)^2(x^2+2)(x^2+3)(x^3+x+1)",
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("seed", [None, 2, 3])
+    def test_splits_at_several_degrees(self, p, factors, expected, seed):
+        """The squarefree part splits at several degrees, and every equal-degree
+        split takes its gcd against its own factor, not the ring's modulus."""
+        field = PrimeField(p)
+        h = Poly.one(field)
+        for text in factors.split(", "):
+            h = h * parse_poly(field, text)
+        assert str(factor_fp(h, seed=seed)) == expected
+
     def test_rejects_zero(self, f5):
         with pytest.raises(ZeroArgument):
             factor_fp(Poly.zero(f5))

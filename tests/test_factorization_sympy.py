@@ -3,7 +3,9 @@
 sympy is a test-only dependency: the module is skipped without it.  Over
 F_p, sympy prints coefficients in symmetric form (-p/2 .. p/2), so its
 factors are made monic and their coefficients taken mod p before comparing.
-The prime 2^31 - 1 exercises the widest packed slots of the quotient ring.
+The prime 2^31 - 1 exercises the widest packed slots of the quotient ring;
+13 is the largest prime of the byte-packed gcd, and from 17 on every gcd
+inside factorization takes the remainders of the list division.
 Over Q, sympy's complete factorization restricted to degrees 1 and 2 is the
 reference for the bounded-degree divisor search, output order included.
 """
@@ -50,7 +52,9 @@ def squareful(data, field, max_degree):
     return h * data.draw(poly_strategy(field, 2, nonzero=True)) ** 2
 
 
-@pytest.mark.parametrize("p, max_degree", [(2, 20), (3, 20), (5, 20), (7, 20), (WIDE_PRIME, 8)])
+@pytest.mark.parametrize(
+    "p, max_degree", [(2, 20), (3, 20), (5, 20), (7, 20), (13, 20), (17, 12), (WIDE_PRIME, 8)]
+)
 @given(data=st.data())
 def test_factor_fp_matches_sympy(p, max_degree, data):
     field = PrimeField(p)
@@ -59,7 +63,9 @@ def test_factor_fp_matches_sympy(p, max_degree, data):
     assert ours(factor_fp(h)) == canonical(field, unit, pairs)
 
 
-@pytest.mark.parametrize("p, max_degree", [(2, 20), (3, 20), (5, 20), (7, 20), (WIDE_PRIME, 8)])
+@pytest.mark.parametrize(
+    "p, max_degree", [(2, 20), (3, 20), (5, 20), (7, 20), (13, 20), (17, 12), (WIDE_PRIME, 8)]
+)
 @given(data=st.data())
 def test_is_irreducible_fp_matches_sympy(p, max_degree, data):
     field = PrimeField(p)

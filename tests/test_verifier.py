@@ -89,6 +89,16 @@ class TestConfigValidation:
         admitted, rejected = enumerate_params(cfg)
         assert len(admitted) == 1 and rejected == 1
 
+    def test_explicit_params_degree_is_capped(self):
+        # the cap holds for every pair, whatever max_param_degree says
+        def cfg(b):
+            pair = (parse_poly(Q, "x+1"), parse_poly(Q, b))
+            return config(field=Q, kinds=(SeqKind.LUCAS,), enumeration=None, params=(pair,))
+
+        assert len(enumerate_params(cfg("x^32"))[0]) == 1
+        with pytest.raises(ConfigInvalid, match="params degree must be at most 32, got 33"):
+            enumerate_params(cfg("x^33"))
+
 
 class TestEnumeration:
     def test_f2_power_degree_one_frozen(self):
@@ -303,6 +313,24 @@ class TestConfigParsing:
             ' "checks": ["all", "zsigmondy"], "max_param_degree": 1}'
         )
         assert cfg.checks == ALL_CHECKS
+
+    def test_repeated_kinds_and_checks_run_once(self):
+        """A kind or check named again keeps its first place and runs once."""
+        json_cfg = parse_config(
+            '{"field": {"type": "fp", "p": 3}, "kinds": ["power", "lucas", "power"],'
+            ' "checks": ["strong_div", "zsigmondy", "strong_div"], "max_param_degree": 1}'
+        )
+        flat_cfg = parse_config(
+            "field = fp\np = 3\nkinds = power, lucas, power\n"
+            "checks = strong_div, zsigmondy, strong_div\nmax_param_degree = 1\n"
+        )
+        for cfg in (json_cfg, flat_cfg):
+            assert cfg.kinds == (SeqKind.POWER, SeqKind.LUCAS)
+            assert cfg.checks == ("strong_div", "zsigmondy")
+        doc = {"field": {"type": "fp", "p": 3}, "checks": ["all"], "max_param_degree": 1}
+        once = run_campaign(parse_config(json.dumps({**doc, "kinds": ["power"]})))
+        twice = run_campaign(parse_config(json.dumps({**doc, "kinds": ["power", "power"]})))
+        assert (twice.params_admitted, twice.cases_run) == (once.params_admitted, once.cases_run)
 
     def test_random_shorthand(self):
         cfg = parse_config(
