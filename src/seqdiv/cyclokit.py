@@ -197,7 +197,7 @@ def power_sum_form(n):
     return BivarForm(n - 1, [1] * n)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)  # holds every index up to verifier.MAX_INDEX = 100
 def cyclotomic_form(n):
     """The degree-phi(n) form whose product over divisors rebuilds X^n - Y^n."""
     if n < 1:

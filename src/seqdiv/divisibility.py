@@ -202,11 +202,25 @@ def phi_match_failures(reports):
     return [r for r in reports if r.n >= 3 and not r.excluded and not r.matches_phi]
 
 
+def _term_valuation(params, q, n):
+    """valuation(q, term(n)), computed once per sequence.
+
+    The table params._val is keyed by (q.coeffs, n) and holds only
+    valuations that were actually computed from the term.
+    """
+    key = (q.coeffs, n)
+    v = params._val.get(key)
+    if v is None:
+        v = params._val[key] = valuation(q, term(params, n))
+    return v
+
+
 def valuation_stability_check(params, q, n, m):
     """True iff the q-adic valuation of term(m*n) equals that of term(n).
 
     q must be a divisor of term(n) and the scaling index m must avoid the
-    characteristic.
+    characteristic.  Both valuations are read from, or added to, the
+    per-sequence valuation table.
     """
     if params.kind is not SeqKind.LEHMER:
         raise PreconditionViolated("valuation stability is stated for the lehmer kind")
@@ -215,11 +229,10 @@ def valuation_stability_check(params, q, n, m):
     p = params.field.char
     if p and m % p == 0:
         raise PreconditionViolated(f"scaling index {m} is divisible by the characteristic")
-    tn = term(params, n)
-    vn = valuation(q, tn)
+    vn = _term_valuation(params, q, n)
     if vn == 0:
         raise PreconditionViolated(f"{q} does not divide term({n})")
-    return valuation(q, term(params, m * n)) == vn
+    return _term_valuation(params, q, m * n) == vn
 
 
 def term_divisors(params, n):

@@ -18,8 +18,9 @@ rebuilt for a smaller modulus.
 Over Q only the divisors of degree 1 and 2 are searched for, on the
 primitive integer form c of the squarefree part.  By Gauss's lemma a
 primitive integer polynomial divides c over Q exactly when it divides c over
-Z, so each candidate allowed by the divisors of lead(c), c(0) and c(1) is
-tested by one exact division over Z.
+Z, so each candidate allowed by the divisors of lead(c), c(0) and c(1), and
+by the values of c at two more small integers, is tested by one exact
+division over Z.
 """
 
 import random
@@ -285,6 +286,16 @@ def _signed_divisors(n):
     return [s for d in divisors(abs(n)) for s in (d, -d)]
 
 
+def _value(c, k):
+    """c(k) for an integer coefficient list c, lowest degree first."""
+    return sum(ci * k**i for i, ci in enumerate(c))
+
+
+def _rules_out(ck, qk):
+    """True when q(k) = qk cannot divide c(k) = ck; c(k) = 0 allows any q."""
+    return ck != 0 and (qk == 0 or ck % qk != 0)
+
+
 def low_degree_factors_q(h):
     """All monic irreducible divisors of h over Q of degree 1 or 2.
 
@@ -297,6 +308,13 @@ def low_degree_factors_q(h):
     has c2 | lead(c), c0 | c(0) and c2 + c1 + c0 | c(1).  Every candidate is
     tested by exact division over Z; a candidate that is not primitive, or a
     reducible quadratic, cannot divide c, so the division rejects it too.
+
+    Before that division a candidate q must pass a value filter: q(k) | c(k)
+    at k = 1 and -1 for a linear q, at k = -1 and 2 for a quadratic one,
+    with c(k) taken of the current c.  A q dividing c over Z has
+    q(k) | c(k) at every integer k (and a c(k) of 0 allows any q(k)), so
+    the filter drops only candidates the division would reject: the factors
+    found, and their order, are the same.
     """
     if not isinstance(h.field, Rationals):
         raise UnsupportedField("rational divisor search needs a polynomial over Q")
@@ -312,23 +330,32 @@ def low_degree_factors_q(h):
 
     linear = []
     leads, consts = divisors(c[-1]), _signed_divisors(c[0])
+    at_1, at_m1 = sum(c), _value(c, -1)
     for u in leads:
         for v in consts:
+            if _rules_out(at_1, u + v) or _rules_out(at_m1, v - u):
+                continue
             q = _exact_quotient_z(c, [v, u])
             if q is not None:
                 linear.append(Fraction(v, u))
                 c = q
+                at_1, at_m1 = sum(c), _value(c, -1)
     found.extend(Poly(h.field, [v, 1]) for v in sorted(linear, reverse=True))
 
     quadratic = []
     leads, consts, values = divisors(c[-1]), _signed_divisors(c[0]), _signed_divisors(sum(c))
+    at_m1, at_2 = _value(c, -1), _value(c, 2)
     for c2 in leads:
         for c0 in consts:
             for d1 in values:
+                # q(-1) = 2*c2 + 2*c0 - d1 and q(2) = 2*c2 + 2*d1 - c0
+                if _rules_out(at_m1, 2 * (c2 + c0) - d1) or _rules_out(at_2, 2 * (c2 + d1) - c0):
+                    continue
                 cand = [c0, d1 - c2 - c0, c2]
                 q = _exact_quotient_z(c, cand)
                 if q is not None:
                     quadratic.append(tuple(Fraction(k, c2) for k in cand))
                     c = q
+                    at_m1, at_2 = _value(c, -1), _value(c, 2)
     found.extend(Poly(h.field, k) for k in sorted(quadratic))
     return found

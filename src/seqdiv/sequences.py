@@ -51,12 +51,15 @@ class SeqParams:
 
     _terms holds term(n) by index, _apow and _bpow the powers of a and b
     from which term builds the power kind (nothing else reads them), _lam
-    and _eta the tower powers of the oracle, and _gcd the monic
-    gcd(term(m), term(n)) keyed by (m, n) with m <= n, filled by the
-    divisibility checks.
+    and _eta the tower powers of the oracle, _gcd the monic
+    gcd(term(m), term(n)) keyed by (m, n) with m <= n, and _val the
+    valuation(q, term(n)) keyed by (q.coeffs, n).  The last two are filled
+    by the divisibility checks, each only with values actually computed.
     """
 
-    __slots__ = ("kind", "field", "a", "b", "_terms", "_apow", "_bpow", "_lam", "_eta", "_gcd")
+    __slots__ = (
+        "kind", "field", "a", "b", "_terms", "_apow", "_bpow", "_lam", "_eta", "_gcd", "_val",
+    )
 
     def __init__(self, kind, field, a, b):
         self.kind = kind
@@ -69,6 +72,7 @@ class SeqParams:
         self._lam = None
         self._eta = None
         self._gcd = {}
+        self._val = {}
 
     def __eq__(self, other):
         return (
@@ -163,24 +167,32 @@ def term(params, n):
 # lehmer: the pair (lam, eta) lives in K[x][s, t] / (s^2 - a, t^2 - s t + b)
 #         with lam = t, eta = s - t; elements are quadruples
 #         (c0, c1, c2, c3) = c0 + c1 s + c2 t + c3 st.
+#
+# Powers are stepped by one generator at a time, each step the product with
+# that generator reduced by the two relations above:
+#   lucas:  c t = -b c1 + (c0 + a c1) t,  c (a - t) = (a c0 + b c1) - c0 t;
+#   lehmer: c t = -b c2 - b c3 s + (c0 + a c3) t + (c1 + c2) st,
+#           c (s - t) = (a c1 + b c2) + (c0 + b c3) s - c0 t - c1 st.
 
 
-def _quad_mul(c, d, a, b):
+def _lucas_times_t(c, a, b):
     c0, c1 = c
-    d0, d1 = d
-    cross = c1 * d1
-    return (c0 * d0 - b * cross, c0 * d1 + c1 * d0 + a * cross)
+    return (-(b * c1), c0 + a * c1)
 
 
-def _biquad_mul(c, d, a, b, ab):
+def _lucas_times_a_minus_t(c, a, b):
+    c0, c1 = c
+    return (a * c0 + b * c1, -c0)
+
+
+def _lehmer_times_t(c, a, b):
     c0, c1, c2, c3 = c
-    d0, d1, d2, d3 = d
-    t23 = c2 * d3 + c3 * d2
-    e0 = c0 * d0 + a * (c1 * d1) - b * (c2 * d2) - ab * (c3 * d3)
-    e1 = c0 * d1 + c1 * d0 - b * t23
-    e2 = c0 * d2 + c2 * d0 + a * (c1 * d3 + c3 * d1) + a * t23
-    e3 = c0 * d3 + c3 * d0 + c1 * d2 + c2 * d1 + c2 * d2 + a * (c3 * d3)
-    return (e0, e1, e2, e3)
+    return (-(b * c2), -(b * c3), c0 + a * c3, c1 + c2)
+
+
+def _lehmer_times_s_minus_t(c, a, b):
+    c0, c1, c2, c3 = c
+    return (a * c1 + b * c2, c0 + b * c3, -c0, -c1)
 
 
 def _solve_scalar(u, d):
@@ -207,7 +219,7 @@ def oracle_term(params, n):
     The oracle for term(): powers of the pair are formed in the tower, in
     its own _lam/_eta caches, and the difference is divided back into K[x].
     It may share only the polynomial layer: it never calls term() or reads
-    _apow, _bpow or the gcd table.
+    _apow, _bpow, the gcd table or the valuation table.
     """
     _check_index(n)
     if params.kind is SeqKind.POWER:
@@ -220,24 +232,19 @@ def oracle_term(params, n):
             params._lam = [(one, zero)]
             params._eta = [(one, zero)]
         lam_pows, eta_pows = params._lam, params._eta
-        alpha = (zero, one)
-        beta = (a, -one)
         while len(lam_pows) <= n:
-            lam_pows.append(_quad_mul(lam_pows[-1], alpha, a, b))
-            eta_pows.append(_quad_mul(eta_pows[-1], beta, a, b))
+            lam_pows.append(_lucas_times_t(lam_pows[-1], a, b))
+            eta_pows.append(_lucas_times_a_minus_t(eta_pows[-1], a, b))
         u = tuple(x - y for x, y in zip(lam_pows[n], eta_pows[n]))
         div = (-a, one + one)
         return _solve_scalar(u, div)
-    ab = a * b
     if params._lam is None:
         params._lam = [(one, zero, zero, zero)]
         params._eta = [(one, zero, zero, zero)]
     lam_pows, eta_pows = params._lam, params._eta
-    lam = (zero, zero, one, zero)
-    eta = (zero, one, -one, zero)
     while len(lam_pows) <= n:
-        lam_pows.append(_biquad_mul(lam_pows[-1], lam, a, b, ab))
-        eta_pows.append(_biquad_mul(eta_pows[-1], eta, a, b, ab))
+        lam_pows.append(_lehmer_times_t(lam_pows[-1], a, b))
+        eta_pows.append(_lehmer_times_s_minus_t(eta_pows[-1], a, b))
     u = tuple(x - y for x, y in zip(lam_pows[n], eta_pows[n]))
     if n % 2:
         div = (zero, -one, one + one, zero)

@@ -184,6 +184,10 @@ def validate_config(config):
     for c in config.checks:
         if c not in ALL_CHECKS:
             raise ConfigInvalid(f"unknown check {c!r}")
+    for what, values in (("kind", [k.value for k in config.kinds]), ("check", config.checks)):
+        repeated = [v for i, v in enumerate(values) if v in values[:i]]
+        if repeated:
+            raise ConfigInvalid(f"repeated {what} {repeated[0]!r}")
     if config.max_param_degree < 0:
         raise ConfigInvalid("max_param_degree must be >= 0")
     if config.m_max < 1 or config.n_max < 1:
@@ -358,12 +362,13 @@ def _run_valuation_stability(params, config, ctx):
     p = params.field.char
     for n in range(3, config.n_max + 1):
         for q in term_divisors(params, n):
+            q_text = format_poly(q)
             for m in range(1, config.m_max + 1):
                 if p and m % p == 0:
                     continue
                 ok = valuation_stability_check(params, q, n, m)
-                detail = "" if ok else f"q = {q}, term({n}) vs term({m * n})"
-                yield {"q": format_poly(q), "n": n, "m": m}, ok, detail
+                detail = "" if ok else f"q = {q_text}, term({n}) vs term({m * n})"
+                yield {"q": q_text, "n": n, "m": m}, ok, detail
 
 
 def _run_sum_square_coprime(params, config, ctx):
@@ -706,11 +711,14 @@ def render_report(report):
     config = report.config
     field = config.field
     field_text = f"F_{field.p}" if field.char else "Q"
+    degree = config.max_param_degree
+    if config.params is not None:
+        degree = max(q.degree for pair in config.params for q in pair)
     lines = [
         "campaign over {} | kinds: {} | degree <= {}".format(
             field_text,
             ",".join(k.value for k in config.kinds),
-            config.max_param_degree,
+            degree,
         ),
         "checks: " + ", ".join(config.checks),
         f"indices: n <= {config.n_max}, m <= {config.m_max}"

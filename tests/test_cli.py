@@ -267,6 +267,17 @@ class TestVerify:
         assert code == 0
         assert "params: 6 admitted, 3 rejected" in out
 
+    def test_explicit_params_report_their_largest_degree(self, capsys, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text(
+            "field = q\nkinds = lucas\nchecks = strong_div\nparams = x^10+x+1,x\n"
+            "n_max = 3\nm_max = 3\n",
+            encoding="utf-8",
+        )
+        code, out, _ = run(capsys, "verify", "--config", str(path))
+        assert code == 0
+        assert out.splitlines()[0] == "campaign over Q | kinds: lucas | degree <= 10"
+
     @pytest.mark.parametrize(
         "key,value",
         [("kinds", 5), ("checks", 7), ("params", 5), ("params", [["x", 5]]), ("params", ["x1"])],

@@ -20,7 +20,7 @@ from seqdiv.divisibility import (
 )
 from seqdiv.errors import PreconditionViolated, UnsupportedField, ValidationError
 from seqdiv.factorization import factor_fp
-from seqdiv.polyring import Poly, is_associated, monic, parse_poly, poly_gcd
+from seqdiv.polyring import Poly, is_associated, monic, parse_poly, poly_gcd, valuation
 from seqdiv.sequences import SeqKind, term, validate
 
 Q = Rationals()
@@ -215,6 +215,25 @@ class TestValuationStability:
             for q in term_divisors(params, n):
                 for m in (2, 4, 5):
                     assert valuation_stability_check(params, q, n, m)
+
+    @pytest.mark.parametrize(
+        "field,a,b", [(Q, "x", "1"), (Q, "x^2+1", "x-2"), (F3, "x+1", "x"), (F5, "x^2+2", "x+1")]
+    )
+    def test_table_equals_direct_valuations(self, field, a, b):
+        params = mk("lehmer", field, a, b)
+        for n in range(3, 7):
+            for q in term_divisors(params, n):
+                for m in range(1, 5):
+                    if field.char and m % field.char == 0:
+                        continue
+                    fresh = mk("lehmer", field, a, b)
+                    vn = valuation(q, term(fresh, n))
+                    expected = valuation(q, term(fresh, m * n)) == vn
+                    assert valuation_stability_check(params, q, n, m) == expected
+        fresh = mk("lehmer", field, a, b)
+        assert params._val
+        for (coeffs, n), v in params._val.items():
+            assert v == valuation(Poly(field, coeffs), term(fresh, n))
 
     def test_rejects_characteristic_scaling(self):
         params = mk("lehmer", F2, "x+1", "x^2+x+1")

@@ -169,6 +169,23 @@ class TestLowDegreeFactorsQ:
         h = parse_poly(rationals, "x^5-x+1")  # irreducible quintic
         assert low_degree_factors_q(h) == []
 
+    @pytest.mark.parametrize(
+        "text,expected",
+        [
+            # c(1) = c(-1) = 0, and candidates with u + v = 0 and v - u = 0 divide
+            ("x^3-x", ["x", "x+1", "x-1"]),
+            ("x^3-x^2+x-1", ["x-1", "x^2+1"]),  # c(1) = 0
+            ("x^3+x^2+x+1", ["x+1", "x^2+1"]),  # c(-1) = 0
+            # u + v = 0 and v - u = 0 at nonzero c(1), c(-1): both rejected
+            ("x^2+1", ["x^2+1"]),
+            ("x^4+3*x^2+2", ["x^2+1", "x^2+2"]),  # quadratic x^2+3x+2 has q(-1) = 0
+            ("x^4+x^2+4", []),  # quadratic x^2-4x+4 has q(2) = 0
+        ],
+    )
+    def test_value_filter_zero_guards(self, rationals, text, expected):
+        found = low_degree_factors_q(parse_poly(rationals, text))
+        assert [str(f) for f in found] == expected
+
     def test_divisors_actually_divide(self, rationals):
         h = parse_poly(rationals, "x^6-1")
         for f in low_degree_factors_q(h):

@@ -17,6 +17,10 @@ from seqdiv.polyring import Poly, parse_poly
 from seqdiv.sequences import (
     SeqKind,
     SeqParams,
+    _lehmer_times_s_minus_t,
+    _lehmer_times_t,
+    _lucas_times_a_minus_t,
+    _lucas_times_t,
     cyclotomic_value,
     oracle_term,
     term,
@@ -153,10 +157,45 @@ class TestOracle:
         for n in range(1, 26):
             assert term(params, n) == oracle_term(params, n)
 
+    @pytest.mark.parametrize("field", [Q, PrimeField(5)], ids=str)
+    @given(data=st.data())
+    def test_generator_steps_equal_generic_products(self, field, data):
+        a = data.draw(poly_strategy(field, 3))
+        b = data.draw(poly_strategy(field, 3))
+        zero, one = Poly.zero(field), Poly.one(field)
+        c2 = tuple(data.draw(poly_strategy(field, 3)) for _ in range(2))
+        assert _lucas_times_t(c2, a, b) == _tower2_mul(c2, (zero, one), a, b)
+        assert _lucas_times_a_minus_t(c2, a, b) == _tower2_mul(c2, (a, -one), a, b)
+        c4 = tuple(data.draw(poly_strategy(field, 3)) for _ in range(4))
+        assert _lehmer_times_t(c4, a, b) == _tower4_mul(c4, (zero, zero, one, zero), a, b)
+        s_minus_t = (zero, one, -one, zero)
+        assert _lehmer_times_s_minus_t(c4, a, b) == _tower4_mul(c4, s_minus_t, a, b)
+
     def test_power_oracle_is_definitional(self):
         params = mk("power", Q, "x+1", "x")
         with pytest.raises(PreconditionViolated):
             oracle_term(params, 3)
+
+
+def _tower2_mul(c, d, a, b):
+    """Generic product in K[x][t] / (t^2 - a t + b), on pairs c0 + c1 t."""
+    c0, c1 = c
+    d0, d1 = d
+    cross = c1 * d1
+    return (c0 * d0 - b * cross, c0 * d1 + c1 * d0 + a * cross)
+
+
+def _tower4_mul(c, d, a, b):
+    """Generic product in K[x][s, t] / (s^2 - a, t^2 - s t + b), on
+    quadruples c0 + c1 s + c2 t + c3 st."""
+    c0, c1, c2, c3 = c
+    d0, d1, d2, d3 = d
+    t23 = c2 * d3 + c3 * d2
+    e0 = c0 * d0 + a * (c1 * d1) - b * (c2 * d2) - a * b * (c3 * d3)
+    e1 = c0 * d1 + c1 * d0 - b * t23
+    e2 = c0 * d2 + c2 * d0 + a * (c1 * d3 + c3 * d1) + a * t23
+    e3 = c0 * d3 + c3 * d0 + c1 * d2 + c2 * d1 + c2 * d2 + a * (c3 * d3)
+    return (e0, e1, e2, e3)
 
 
 class TestCyclotomicValue:

@@ -89,6 +89,13 @@ class TestConfigValidation:
         admitted, rejected = enumerate_params(cfg)
         assert len(admitted) == 1 and rejected == 1
 
+    def test_repeated_kind_or_check_is_named(self):
+        # the parsers drop repeats; a library config that repeats one is refused
+        with pytest.raises(ConfigInvalid, match="repeated kind 'power'"):
+            run_campaign(config(kinds=(SeqKind.POWER, SeqKind.LUCAS, SeqKind.POWER)))
+        with pytest.raises(ConfigInvalid, match="repeated check 'strong_div'"):
+            run_campaign(config(checks=("strong_div", "zsigmondy", "strong_div")))
+
     def test_explicit_params_degree_is_capped(self):
         # the cap holds for every pair, whatever max_param_degree says
         def cfg(b):
