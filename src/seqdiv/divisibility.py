@@ -112,12 +112,13 @@ def primitive_part(params, n):
     for n >= 3 at indices not divisible by the characteristic, and the flag
     is false elsewhere.
 
-    When the gcd table already holds G = gcd(term(m), term(n)) (filled by
-    strong_div_check or coprime_pair_check), the stripping runs against G
-    instead of term(m): b divides term(n), so gcd(b, term(m)) = gcd(b, G).
-    Unit entries and G values already stripped are skipped.  This function
-    never fills the table, and never strips against term(gcd(m, n)), which
-    would assume the law strong_div_check is there to test.
+    The divisor for m is the gcd table's G = gcd(term(m), term(n)) when the
+    table holds it (filled by strong_div_check or coprime_pair_check), else
+    term(m): b divides term(n), so gcd(b, term(m)) = gcd(b, G).  Either
+    divisor is skipped when it is a unit or has already been stripped.  This
+    function reads the table but never fills it, and never strips against
+    term(gcd(m, n)), which would assume the law strong_div_check is there to
+    test.
     """
     if n < 1:
         raise PreconditionViolated("index must be positive")
@@ -127,13 +128,10 @@ def primitive_part(params, n):
     b = t
     stripped = set()
     for m in range(1, n):
-        divisor = params._gcd.get((m, n))
-        if divisor is None:
-            divisor = term(params, m)
-        elif divisor.is_unit() or divisor.coeffs in stripped:
+        divisor = params._gcd.get((m, n)) or term(params, m)
+        if divisor.is_unit() or divisor.coeffs in stripped:
             continue
-        else:
-            stripped.add(divisor.coeffs)
+        stripped.add(divisor.coeffs)
         while True:
             g = poly_gcd(b, divisor)
             if g.is_unit():

@@ -34,6 +34,7 @@ from .polyring import (
     _divrem_raw,
     _exact_quotient_z,
     _gcd_raw,
+    _horner,
     _int_form,
     _strip,
     exact_div,
@@ -286,11 +287,6 @@ def _signed_divisors(n):
     return [s for d in divisors(abs(n)) for s in (d, -d)]
 
 
-def _value(c, k):
-    """c(k) for an integer coefficient list c, lowest degree first."""
-    return sum(ci * k**i for i, ci in enumerate(c))
-
-
 def _rules_out(ck, qk):
     """True when q(k) = qk cannot divide c(k) = ck; c(k) = 0 allows any q."""
     return ck != 0 and (qk == 0 or ck % qk != 0)
@@ -330,7 +326,7 @@ def low_degree_factors_q(h):
 
     linear = []
     leads, consts = divisors(c[-1]), _signed_divisors(c[0])
-    at_1, at_m1 = sum(c), _value(c, -1)
+    at_1, at_m1 = sum(c), _horner(c, -1)
     for u in leads:
         for v in consts:
             if _rules_out(at_1, u + v) or _rules_out(at_m1, v - u):
@@ -339,12 +335,12 @@ def low_degree_factors_q(h):
             if q is not None:
                 linear.append(Fraction(v, u))
                 c = q
-                at_1, at_m1 = sum(c), _value(c, -1)
+                at_1, at_m1 = sum(c), _horner(c, -1)
     found.extend(Poly(h.field, [v, 1]) for v in sorted(linear, reverse=True))
 
     quadratic = []
     leads, consts, values = divisors(c[-1]), _signed_divisors(c[0]), _signed_divisors(sum(c))
-    at_m1, at_2 = _value(c, -1), _value(c, 2)
+    at_m1, at_2 = _horner(c, -1), _horner(c, 2)
     for c2 in leads:
         for c0 in consts:
             for d1 in values:
@@ -356,6 +352,6 @@ def low_degree_factors_q(h):
                 if q is not None:
                     quadratic.append(tuple(Fraction(k, c2) for k in cand))
                     c = q
-                    at_m1, at_2 = _value(c, -1), _value(c, 2)
+                    at_m1, at_2 = _horner(c, -1), _horner(c, 2)
     found.extend(Poly(h.field, k) for k in sorted(quadratic))
     return found

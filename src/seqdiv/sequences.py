@@ -49,9 +49,9 @@ class SeqKind(str, Enum):
 class SeqParams:
     """A validated parameter pair plus growable per-sequence caches.
 
-    _terms holds term(n) by index, _apow and _bpow the powers of a and b
-    from which term builds the power kind (nothing else reads them), _lam
-    and _eta the tower powers of the oracle, _gcd the monic
+    _terms holds term(n) by index, _apow and _bpow only the newest powers
+    a^k and b^k, from which term builds the power kind (nothing else reads
+    them), _lam and _eta the tower powers of the oracle, _gcd the monic
     gcd(term(m), term(n)) keyed by (m, n) with m <= n, and _val the
     valuation(q, term(n)) keyed by (q.coeffs, n).  The last two are filled
     by the divisibility checks, each only with values actually computed.
@@ -67,8 +67,7 @@ class SeqParams:
         self.a = a
         self.b = b
         self._terms = [None]
-        self._apow = [Poly.one(field)]
-        self._bpow = [Poly.one(field)]
+        self._apow = self._bpow = Poly.one(field)
         self._lam = None
         self._eta = None
         self._gcd = {}
@@ -137,23 +136,17 @@ def term(params, n):
     """The n-th sequence term, computed by definition (power) or recurrence."""
     _check_index(n)
     terms = params._terms
-    if params.kind is SeqKind.POWER:
-        apow, bpow = params._apow, params._bpow
-        while len(apow) <= n:
-            apow.append(apow[-1] * params.a)
-            bpow.append(bpow[-1] * params.b)
-        while len(terms) <= n:
-            k = len(terms)
-            terms.append(apow[k] - bpow[k])
-        return terms[n]
-    a, b = params.a, params.b
+    kind, a, b = params.kind, params.a, params.b
     while len(terms) <= n:
         k = len(terms)
-        if k == 1:
+        if kind is SeqKind.POWER:
+            params._apow, params._bpow = params._apow * a, params._bpow * b
+            terms.append(params._apow - params._bpow)
+        elif k == 1:
             terms.append(Poly.one(params.field))
         elif k == 2:
-            terms.append(a if params.kind is SeqKind.LUCAS else Poly.one(params.field))
-        elif params.kind is SeqKind.LUCAS or k % 2:
+            terms.append(a if kind is SeqKind.LUCAS else Poly.one(params.field))
+        elif kind is SeqKind.LUCAS or k % 2:
             terms.append(a * terms[k - 1] - b * terms[k - 2])
         else:
             terms.append(terms[k - 1] - b * terms[k - 2])
@@ -173,6 +166,9 @@ def term(params, n):
 #   lucas:  c t = -b c1 + (c0 + a c1) t,  c (a - t) = (a c0 + b c1) - c0 t;
 #   lehmer: c t = -b c2 - b c3 s + (c0 + a c3) t + (c1 + c2) st,
 #           c (s - t) = (a c1 + b c2) + (c0 + b c3) s - c0 t - c1 st.
+# _TOWER gives each kind its tuple size and these two steps.  The power
+# difference is divided by lam - eta (lucas 2t - a, lehmer 2t - s), for the
+# lehmer kind at even n by lam^2 - eta^2 = 2st - a.
 
 
 def _lucas_times_t(c, a, b):
@@ -195,61 +191,56 @@ def _lehmer_times_s_minus_t(c, a, b):
     return (a * c1 + b * c2, c0 + b * c3, -c0, -c1)
 
 
+_TOWER = {
+    SeqKind.LUCAS: (2, _lucas_times_t, _lucas_times_a_minus_t),
+    SeqKind.LEHMER: (4, _lehmer_times_t, _lehmer_times_s_minus_t),
+}
+
+
 def _solve_scalar(u, d):
-    """The unique w in K[x] with u = w * d componentwise, if it exists."""
-    w = None
-    for ui, di in zip(u, d):
-        if di:
-            try:
-                w = exact_div(ui, di)
-            except NotDivisible as exc:
-                raise OracleMismatch(f"quotient left the base ring: {exc}") from exc
-            break
-    if w is None:
+    """The unique w in K[x] with u = w * d componentwise, if it exists.
+
+    w is the quotient at the first nonzero d_i; where d_i is zero, u_i must
+    be zero.  OracleMismatch otherwise, and for an all-zero d.
+    """
+    i = next((i for i, di in enumerate(d) if di), None)
+    if i is None:
         raise OracleMismatch("degenerate divisor in the tower")
-    for ui, di in zip(u, d):
-        if ui != w * di:
-            raise OracleMismatch("tower element is not a scalar multiple")
+    try:
+        w = exact_div(u[i], d[i])
+    except NotDivisible as exc:
+        raise OracleMismatch(f"quotient left the base ring: {exc}") from exc
+    if any((ui != w * di) if di else ui for ui, di in zip(u, d)):
+        raise OracleMismatch("tower element is not a scalar multiple")
     return w
 
 
 def oracle_term(params, n):
     """Recompute term(n) from the defining pair in the tower.
 
-    The oracle for term(): powers of the pair are formed in the tower, in
-    its own _lam/_eta caches, and the difference is divided back into K[x].
-    It may share only the polynomial layer: it never calls term() or reads
-    _apow, _bpow, the gcd table or the valuation table.
+    The oracle for term(): powers of the pair are stepped in the kind's
+    tower, in its own _lam/_eta caches, and the difference is divided back
+    into K[x].  It may share only the polynomial layer: it never calls
+    term() or reads _apow, _bpow, the gcd table or the valuation table.
     """
     _check_index(n)
     if params.kind is SeqKind.POWER:
         raise PreconditionViolated("the power kind is already definitional")
-    field = params.field
-    zero, one = Poly.zero(field), Poly.one(field)
+    size, lam_step, eta_step = _TOWER[params.kind]
+    zero, one = Poly.zero(params.field), Poly.one(params.field)
     a, b = params.a, params.b
-    if params.kind is SeqKind.LUCAS:
-        if params._lam is None:
-            params._lam = [(one, zero)]
-            params._eta = [(one, zero)]
-        lam_pows, eta_pows = params._lam, params._eta
-        while len(lam_pows) <= n:
-            lam_pows.append(_lucas_times_t(lam_pows[-1], a, b))
-            eta_pows.append(_lucas_times_a_minus_t(eta_pows[-1], a, b))
-        u = tuple(x - y for x, y in zip(lam_pows[n], eta_pows[n]))
-        div = (-a, one + one)
-        return _solve_scalar(u, div)
     if params._lam is None:
-        params._lam = [(one, zero, zero, zero)]
-        params._eta = [(one, zero, zero, zero)]
+        params._lam = [(one,) + (zero,) * (size - 1)]
+        params._eta = list(params._lam)
     lam_pows, eta_pows = params._lam, params._eta
     while len(lam_pows) <= n:
-        lam_pows.append(_lehmer_times_t(lam_pows[-1], a, b))
-        eta_pows.append(_lehmer_times_s_minus_t(eta_pows[-1], a, b))
+        lam_pows.append(lam_step(lam_pows[-1], a, b))
+        eta_pows.append(eta_step(eta_pows[-1], a, b))
     u = tuple(x - y for x, y in zip(lam_pows[n], eta_pows[n]))
-    if n % 2:
+    if params.kind is SeqKind.LEHMER and n % 2:
         div = (zero, -one, one + one, zero)
     else:
-        div = (-a, zero, zero, one + one)
+        div = (-a,) + (zero,) * (size - 2) + (one + one,)
     return _solve_scalar(u, div)
 
 

@@ -191,7 +191,7 @@ def validate_config(config):
     if config.max_param_degree < 0:
         raise ConfigInvalid("max_param_degree must be >= 0")
     if config.m_max < 1 or config.n_max < 1:
-        raise ConfigInvalid("index bounds must be positive")
+        raise ConfigInvalid("index bounds n_max and m_max must be positive")
     _at_most("max_param_degree", config.max_param_degree, MAX_PARAM_DEGREE)
     _at_most("n_max", config.n_max, MAX_INDEX)
     _at_most("m_max", config.m_max, MAX_INDEX)
@@ -203,7 +203,7 @@ def validate_config(config):
             raise ConfigInvalid("explicit parameter list is empty")
         for pair in config.params:
             if len(pair) != 2 or any(q.field != field for q in pair):
-                raise ConfigInvalid("explicit parameters must be pairs over the config field")
+                raise ConfigInvalid("explicit params must be pairs over the config field")
             _at_most("params degree", max(q.degree for q in pair), MAX_PARAM_DEGREE)
         return
     if isinstance(config.enumeration, Exhaustive):
@@ -249,62 +249,57 @@ def _random_poly(field, max_deg, rng):
     return Poly(field, tail + [lead])
 
 
+def _pairs(config, kind, rng):
+    """Candidate (a, b) pairs of one kind: explicit params as given, else
+    the exhaustive walk over one representative per unit orbit (a monic, or
+    for the lehmer kind with a lead of 1 or the smallest non-square, one per
+    coset of squared units; b any nonzero polynomial), else random draws of
+    a, then b, with ConfigInvalid after 20000 * count attempts."""
+    field, max_deg = config.field, config.max_param_degree
+    if config.params is not None:
+        yield from config.params
+    elif isinstance(config.enumeration, Exhaustive):
+        leads = _lead_representatives(field) if kind is SeqKind.LEHMER else (1,)
+        seconds = list(_candidates(field, max_deg, range(1, field.p)))
+        for a in _candidates(field, max_deg, leads):
+            for b in seconds:
+                yield a, b
+    else:
+        for _ in range(20000 * config.enumeration.count):
+            a = _random_poly(field, max_deg, rng)
+            yield a, _random_poly(field, max_deg, rng)
+        raise ConfigInvalid("rejection rate too high for random enumeration")
+
+
 def enumerate_params(config):
     """Admissible parameter pairs for the campaign, with the rejection count.
 
-    Returns (params_list, rejected).  Exhaustive enumeration walks one
-    representative per unit orbit: the first parameter is monic (for the
-    lehmer kind, its leading coefficient is 1 or the smallest non-square,
-    one per coset of squared units), the second is any nonzero polynomial;
-    candidates failing validate() are counted as rejected.  Random
-    enumeration draws seeded coefficient tuples until `count` distinct
-    admissible pairs are found per kind.
+    Returns (params_list, rejected).  Each candidate of _pairs goes through
+    validate(), and one failing it is counted as rejected.  Random
+    enumeration, seeded once for all kinds, skips a pair it has already
+    admitted and stops at `count` distinct admissible pairs per kind.
     """
     validate_config(config)
-    field = config.field
+    count = rng = None
+    if config.params is None and isinstance(config.enumeration, Random):
+        count, rng = config.enumeration.count, random.Random(config.enumeration.seed)
     admitted = []
     rejected = 0
-    if config.params is not None:
-        for kind in config.kinds:
-            for a, b in config.params:
-                try:
-                    admitted.append(validate(kind, field, a, b))
-                except ValidationError:
-                    rejected += 1
-        return admitted, rejected
-    if isinstance(config.enumeration, Exhaustive):
-        seconds = list(_candidates(field, config.max_param_degree, range(1, field.p)))
-        for kind in config.kinds:
-            leads = _lead_representatives(field) if kind is SeqKind.LEHMER else (1,)
-            for a in _candidates(field, config.max_param_degree, leads):
-                for b in seconds:
-                    try:
-                        admitted.append(validate(kind, field, a, b))
-                    except ValidationError:
-                        rejected += 1
-        return admitted, rejected
-    rng = random.Random(config.enumeration.seed)
     for kind in config.kinds:
         seen = set()
-        found = 0
-        attempts = 0
-        while found < config.enumeration.count:
-            attempts += 1
-            if attempts > 20000 * config.enumeration.count:
-                raise ConfigInvalid("rejection rate too high for random enumeration")
-            a = _random_poly(field, config.max_param_degree, rng)
-            b = _random_poly(field, config.max_param_degree, rng)
-            key = (a.coeffs, b.coeffs)
+        for a, b in _pairs(config, kind, rng):
             try:
-                params = validate(kind, field, a, b)
+                params = validate(kind, config.field, a, b)
             except ValidationError:
                 rejected += 1
                 continue
-            if key in seen:
+            key = (a.coeffs, b.coeffs)
+            if rng is not None and key in seen:
                 continue
             seen.add(key)
             admitted.append(params)
-            found += 1
+            if len(seen) == count:
+                break
     return admitted, rejected
 
 
@@ -531,7 +526,7 @@ def _parse_kinds(values):
     try:
         return tuple(dict.fromkeys(SeqKind(v) for v in values))
     except ValueError as exc:
-        raise ConfigInvalid(str(exc)) from exc
+        raise ConfigInvalid(f"unknown kind: {exc}") from exc
 
 
 def _parse_checks(values):
@@ -556,7 +551,7 @@ def _parse_param_pairs(field, pairs):
         try:
             out.append((parse_poly(field, pair[0]), parse_poly(field, pair[1])))
         except ParseError as exc:
-            raise ConfigInvalid(f"bad parameter polynomial: {exc}") from exc
+            raise ConfigInvalid(f"bad params polynomial: {exc}") from exc
     return tuple(out)
 
 

@@ -307,6 +307,13 @@ class TestVerify:
         assert code == 2 and out == ""
         assert err.startswith("ConfigInvalid:")
 
+    def test_fp_field_needs_p(self, capsys):
+        code, out, err = run(
+            capsys, "verify", "--kind", "lucas", "--field", "fp", "--a", "x", "--b", "1",
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("ConfigInvalid:") and "--p" in err
+
     def test_inline_needs_pair(self, capsys):
         code, _, err = run(capsys, "verify", "--kind", "lucas")
         assert code == 2 and err.startswith("ConfigInvalid:")
@@ -340,6 +347,25 @@ class TestVerify:
         for doc in docs:
             del doc["wall_time"]
         assert first[0] == second[0] == 0 and docs[0] == docs[1]
+
+    def test_random_report_config_round_trips(self, capsys, tmp_path):
+        flat = tmp_path / "c.cfg"
+        flat.write_text(
+            "field = fp\np = 3\nkinds = power,lucas\nchecks = strong_div,zsigmondy\n"
+            "enumeration = random:4:9\nmax_param_degree = 2\nn_max = 5\nm_max = 5\n",
+            encoding="utf-8",
+        )
+        first = run(capsys, "verify", "--config", str(flat), "--json")
+        path = tmp_path / "c.json"
+        config = json.loads(first[1])["config"]
+        assert config["enumeration"] == {"type": "random", "count": 4, "seed": 9}
+        path.write_text(json.dumps(config), encoding="utf-8")
+        second = run(capsys, "verify", "--config", str(path), "--json")
+        docs = [json.loads(out) for _, out, _ in (first, second)]
+        for doc in docs:
+            del doc["wall_time"]
+        assert first[0] == second[0] and docs[0] == docs[1]
+        assert docs[0]["params_admitted"] == 8
 
     def test_parser_is_built_once(self, capsys):
         assert build_parser() is build_parser()

@@ -68,6 +68,33 @@ class TestArithmetic:
         assert q**3 == parse_poly(f5, "x^3+3*x^2+3*x+1")
         assert q**0 == Poly.one(f5)
 
+        with pytest.raises(ValueError):
+            q**-1
+
+    def test_scalar_on_the_left(self, f5, rationals):
+        # 3 - p reaches Poly.__rsub__, which must stay in the class dict
+        assert "__rsub__" in Poly.__dict__
+        assert 3 - parse_poly(f5, "x+1") == parse_poly(f5, "4*x+2")
+        assert Fraction(1, 2) - parse_poly(rationals, "x") == parse_poly(rationals, "-x+1/2")
+
+    def test_floor_division(self, f5):
+        p, q = parse_poly(f5, "x^3+2*x+1"), parse_poly(f5, "x+1")
+        assert p // q == divmod(p, q)[0] == parse_poly(f5, "x^2+4*x+3")
+
+    @pytest.mark.parametrize("other", ["x", 1.5, None])
+    def test_foreign_operand_is_a_type_error(self, f5, other):
+        q = parse_poly(f5, "x+1")
+        for op in (
+            lambda: q + other,
+            lambda: other + q,
+            lambda: q - other,
+            lambda: other - q,
+            lambda: q * other,
+            lambda: other * q,
+            lambda: divmod(q, other),
+        ):
+            with pytest.raises(TypeError):
+                op()
 
 class TestDivision:
     @given(

@@ -2,12 +2,14 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from seqdiv import sequences
 from seqdiv.coeff import PrimeField, Rationals
 from seqdiv.cyclokit import cyclotomic_form, eval_form, power_diff_form
 from seqdiv.errors import (
     BothUnits,
     FieldMismatch,
     NotCoprime,
+    OracleMismatch,
     PreconditionViolated,
     RatioRootOfUnity,
     ValidationError,
@@ -21,6 +23,7 @@ from seqdiv.sequences import (
     _lehmer_times_t,
     _lucas_times_a_minus_t,
     _lucas_times_t,
+    _solve_scalar,
     cyclotomic_value,
     oracle_term,
     term,
@@ -170,6 +173,42 @@ class TestOracle:
         assert _lehmer_times_t(c4, a, b) == _tower4_mul(c4, (zero, zero, one, zero), a, b)
         s_minus_t = (zero, one, -one, zero)
         assert _lehmer_times_s_minus_t(c4, a, b) == _tower4_mul(c4, s_minus_t, a, b)
+
+    @pytest.mark.parametrize("field", [Q, PrimeField(5)], ids=str)
+    @pytest.mark.parametrize(
+        "u,d,message",
+        [
+            # the first nonzero divisor component does not divide its u component
+            (("0", "x", "x"), ("0", "x+1", "1"), "quotient left the base ring"),
+            (("0", "0"), ("0", "0"), "degenerate divisor"),
+            # a zero divisor component under a nonzero u component, before and
+            # after the component w is taken from
+            (("1", "x", "0"), ("0", "1", "0"), "not a scalar multiple"),
+            (("x", "0", "1"), ("1", "0", "0"), "not a scalar multiple"),
+            (("x", "x"), ("1", "2"), "not a scalar multiple"),
+        ],
+    )
+    def test_solve_scalar_mismatches(self, field, u, d, message):
+        u = tuple(parse_poly(field, c) for c in u)
+        d = tuple(parse_poly(field, c) for c in d)
+        with pytest.raises(OracleMismatch, match=message):
+            _solve_scalar(u, d)
+
+    @pytest.mark.parametrize("field", [Q, PrimeField(5)], ids=str)
+    def test_solve_scalar_quotient(self, field):
+        def polys(*texts):
+            return tuple(parse_poly(field, c) for c in texts)
+
+        w = _solve_scalar(polys("0", "-x^2-x", "2*x+2", "0"), polys("0", "-x", "2", "0"))
+        assert w == parse_poly(field, "x+1")
+
+    @pytest.mark.parametrize("kind", ["lucas", "lehmer"])
+    def test_oracle_uses_no_term_state(self, kind, monkeypatch):
+        expected = [term(mk(kind, Q, "x+1", "x^2"), n) for n in range(1, 13)]
+        params = mk(kind, Q, "x+1", "x^2")
+        params._terms = params._apow = params._bpow = params._gcd = params._val = None
+        monkeypatch.setattr(sequences, "term", None)
+        assert [oracle_term(params, n) for n in range(1, 13)] == expected
 
     def test_power_oracle_is_definitional(self):
         params = mk("power", Q, "x+1", "x")

@@ -1,10 +1,12 @@
+import dataclasses
 import json
 
 import pytest
 
+from seqdiv import verifier
 from seqdiv.cli import main
 from seqdiv.coeff import PRIME_BOUND, PrimeField, Rationals
-from seqdiv.errors import ConfigInvalid
+from seqdiv.errors import ConfigInvalid, OracleMismatch
 from seqdiv.polyring import parse_poly
 from seqdiv.sequences import SeqKind
 from seqdiv.verifier import (
@@ -96,6 +98,22 @@ class TestConfigValidation:
         with pytest.raises(ConfigInvalid, match="repeated check 'strong_div'"):
             run_campaign(config(checks=("strong_div", "zsigmondy", "strong_div")))
 
+    @pytest.mark.parametrize(
+        "overrides,key",
+        [
+            ({"field": "F_5"}, "field"),
+            ({"kinds": ("power",)}, "kind"),
+            ({"max_param_degree": -1}, "max_param_degree"),
+            ({"n_max": 0}, "n_max"),
+            ({"enumeration": None, "params": ((parse_poly(F5, "x"), parse_poly(F5, "1")),)},
+             "params"),
+        ],
+        ids=["field", "kind", "degree", "n_max", "params-field"],
+    )
+    def test_library_config_values_are_named(self, overrides, key):
+        with pytest.raises(ConfigInvalid, match=key):
+            enumerate_params(config(**overrides))
+
     def test_explicit_params_degree_is_capped(self):
         # the cap holds for every pair, whatever max_param_degree says
         def cfg(b):
@@ -150,6 +168,46 @@ class TestEnumeration:
         for p in first:
             per_kind.setdefault(p.kind, set()).add((str(p.a), str(p.b)))
         assert all(len(v) == 7 for v in per_kind.values())
+
+    def test_random_redraws_until_every_pair_is_admitted(self, monkeypatch):
+        # F_2 at degree 1 has exactly 6 admissible power pairs; asking for 6
+        # forces repeated draws, which are skipped, not admitted twice
+        draws = []
+        original = verifier._random_poly
+        monkeypatch.setattr(
+            verifier, "_random_poly", lambda *args: draws.append(1) or original(*args)
+        )
+        cfg = config(enumeration=Random(count=6, seed=0))
+        admitted, rejected = enumerate_params(cfg)
+        assert [(str(p.a), str(p.b)) for p in admitted] == [
+            ("x+1", "1"),
+            ("1", "x+1"),
+            ("x", "1"),
+            ("1", "x"),
+            ("x", "x+1"),
+            ("x+1", "x"),
+        ]
+        assert rejected == 18
+        assert len(draws) == 2 * 30  # 30 attempts: 6 admitted, 18 rejected, 6 repeats
+
+    def test_random_rejection_rate_refusal(self):
+        # at degree 0 both parameters are constants, so every draw is rejected
+        cfg = config(field=F5, max_param_degree=0, enumeration=Random(count=1, seed=0))
+        with pytest.raises(ConfigInvalid, match="rejection rate"):
+            enumerate_params(cfg)
+
+    def test_f2_lehmer_exhaustive_frozen(self):
+        # over F_2 the only lead class is 1
+        admitted, rejected = enumerate_params(config(kinds=(SeqKind.LEHMER,)))
+        assert [(str(p.a), str(p.b)) for p in admitted] == [
+            ("1", "x"),
+            ("1", "x+1"),
+            ("x", "1"),
+            ("x", "x+1"),
+            ("x+1", "1"),
+            ("x+1", "x"),
+        ]
+        assert rejected == 3
 
     def test_random_seeds_differ(self):
         def draw(seed):
@@ -353,6 +411,24 @@ class TestConfigParsing:
         )
         assert cfg.params is not None and len(cfg.params) == 2
         assert str(cfg.params[1][0]) == "x^2+1"
+
+    @pytest.mark.parametrize(
+        "text,key",
+        [
+            (JSON_DOC.replace('"lehmer"', '"sideways"'), "kind"),
+            (JSON_DOC.replace('"zsigmondy"', '"bogus"'), "check"),
+            (JSON_DOC.replace('"n_max"', '"params": [["x+", "1"]], "n_max"'), "params"),
+            (JSON_DOC.replace('{"type": "fp", "p": 3}', '"fp"'), "field"),
+            (JSON_DOC.replace('"exhaustive"', '"sideways"'), "enumeration"),
+            (FLAT.replace("= exhaustive", "= sideways"), "enumeration"),
+        ],
+        ids=["json-kind", "json-check", "json-params", "json-field", "json-enumeration",
+             "flat-enumeration"],
+    )
+    def test_bad_values_are_named(self, text, key):
+        assert text not in (self.FLAT, self.JSON_DOC)
+        with pytest.raises(ConfigInvalid, match=key):
+            parse_config(text)
 
     @pytest.mark.parametrize(
         "text",
@@ -583,3 +659,97 @@ class TestReporting:
         failure = doc["failures"][0]
         assert set(failure) == {"kind", "a", "b", "check", "indices", "detail"}
         assert json.loads(json.dumps(doc)) == doc
+
+
+class TestFailureRecords:
+    """The failure records a campaign writes when a check says no."""
+
+    PAIR = (parse_poly(F3, "x+1"), parse_poly(F3, "x"))
+
+    def lucas(self, checks):
+        return config(
+            field=F3, kinds=(SeqKind.LUCAS,), enumeration=None, params=(self.PAIR,), checks=checks
+        )
+
+    def test_strong_div_detail(self, monkeypatch):
+        monkeypatch.setattr(verifier, "strong_div_check", lambda p, m, n: (m, n) != (2, 4))
+        report = run_campaign(self.lucas(("strong_div",)))
+        assert [f.to_json() for f in report.failures] == [
+            {
+                "kind": "lucas",
+                "a": "x+1",
+                "b": "x",
+                "check": "strong_div",
+                "indices": {"m": 2, "n": 4},
+                "detail": "gcd(term(2), term(4)) = x+1 but term(2) = x+1",
+            }
+        ]
+        assert report.cases_run == report.cases_passed + 1 == 21
+
+    def test_primitive_part_phi_detail(self, monkeypatch):
+        original = verifier.zsigmondy_check
+
+        def reports(params, n_max):
+            return [
+                dataclasses.replace(r, matches_phi=False) if r.n == 5 else r
+                for r in original(params, n_max)
+            ]
+
+        monkeypatch.setattr(verifier, "zsigmondy_check", reports)
+        report = run_campaign(self.lucas(("primitive_part_phi",)))
+        [failure] = report.failures
+        assert (failure.check, failure.indices) == ("primitive_part_phi", {"n": 5})
+        assert failure.detail == (
+            "primitive part = x^4+x^3+x^2+x+1, cyclotomic value = x^4+x^3+x^2+x+1"
+        )
+
+    def test_oracle_mismatch_is_recorded(self, monkeypatch):
+        original = verifier.oracle_term
+
+        def oracle(params, n):
+            if n == 3:
+                raise OracleMismatch("tower element is not a scalar multiple")
+            return original(params, n)
+
+        monkeypatch.setattr(verifier, "oracle_term", oracle)
+        report = run_campaign(self.lucas(("oracle_equivalence",)))
+        [failure] = report.failures
+        assert failure.to_json() == {
+            "kind": "lucas",
+            "a": "x+1",
+            "b": "x",
+            "check": "oracle_equivalence",
+            "indices": {"n": 3},
+            "detail": "tower element is not a scalar multiple",
+        }
+
+    def test_memory_error_gives_a_partial_report(self, monkeypatch):
+        def runner(params, config, ctx):
+            yield {"n": 1}, True, ""
+            raise MemoryError
+
+        monkeypatch.setitem(verifier._RUNNERS, "strong_div", runner)
+        report = run_campaign(self.lucas(("strong_div",)))
+        assert (report.cases_run, report.cases_passed) == (1, 1)
+        assert [f.to_json() for f in report.failures] == [
+            {
+                "kind": "-",
+                "a": "-",
+                "b": "-",
+                "check": "resource",
+                "indices": {},
+                "detail": "memory limit reached; report is partial",
+            }
+        ]
+        lines = render_report(report).splitlines()
+        assert "FAIL - a=- b=- resource [] memory limit reached; report is partial" in lines
+        assert lines[-1] == "result: FAIL"
+
+    def test_render_caps_the_failure_lines(self, monkeypatch):
+        # 6 pairs x 21 strong_div cases, every one failing
+        monkeypatch.setattr(verifier, "strong_div_check", lambda p, m, n: False)
+        report = run_campaign(config())
+        assert len(report.failures) == 126
+        lines = render_report(report).splitlines()
+        assert sum(line.startswith("FAIL ") for line in lines) == 50
+        assert lines[-2:] == ["... and 76 more failures", "result: FAIL"]
