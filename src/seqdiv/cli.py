@@ -1,8 +1,7 @@
 """Command-line surface for sequence generation, reports, and campaigns.
 
-Every invocation is reproducible from its argument vector alone; the only
-environment input is the optional SEQ_SEED default for the factorization
-seed of ``seq factor``, and its --seed flag overrides it.
+Every invocation is reproducible from its argument vector alone: no
+environment variable is read.
 
 Exit codes: 0 success, 1 campaign ran and found failures, 2 for validation,
 parse, or configuration errors (the error name and message go to stderr).
@@ -10,7 +9,6 @@ parse, or configuration errors (the error name and message go to stderr).
 
 import argparse
 import json
-import os
 import sys
 from functools import lru_cache
 
@@ -18,7 +16,7 @@ from .coeff import PrimeField, Rationals
 from .cyclokit import cyclotomic_form, power_sum_form, resultant
 from .divisibility import primitive_part, zsigmondy_check
 from .errors import ConfigInvalid, SeqdivError, UnsupportedField
-from .factorization import DEFAULT_SEED, factor_fp, factors_text, squarefree_decomp
+from .factorization import factor_fp, factors_text, squarefree_decomp
 from .polyring import parse_poly
 from .sequences import SeqKind, term, validate
 from .verifier import (
@@ -26,6 +24,7 @@ from .verifier import (
     MAX_INDEX,
     MAX_PARAM_DEGREE,
     CampaignConfig,
+    _DEFAULT_INDEX,
     _at_most,
     _field_json,
     _flat_int,
@@ -54,15 +53,6 @@ def _params_from_args(args):
     _at_most("--a degree", a.degree, MAX_PARAM_DEGREE)
     _at_most("--b degree", b.degree, MAX_PARAM_DEGREE)
     return validate(SeqKind(args.kind), field, a, b)
-
-
-def _resolve_seed(args):
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    raw = os.environ.get("SEQ_SEED")
-    if raw is None:
-        return DEFAULT_SEED
-    return _flat_int("SEQ_SEED", raw)
 
 
 def _bool(v):
@@ -130,27 +120,27 @@ def cmd_primitive(args):
 
 def cmd_verify(args):
     if args.config is not None:
-        if args.a is not None or args.b is not None:
-            raise ConfigInvalid("--config and inline --a/--b are mutually exclusive")
+        for dest in ("kind", "field", "p", "a", "b", "n_max", "m_max", "include_excluded"):
+            if getattr(args, dest) is not None:
+                flag = "--" + dest.replace("_", "-")
+                raise ConfigInvalid(f"--config and {flag} are mutually exclusive")
         config = load_config(args.config)
     else:
         if args.kind is None or args.a is None or args.b is None:
             raise ConfigInvalid(
                 "inline verify needs --kind, --a and --b (or use --config)"
             )
-        field = _field_from_args(args)
-        pair = (parse_poly(field, args.a), parse_poly(field, args.b))
-        validate(SeqKind(args.kind), field, pair[0], pair[1])
+        params = _params_from_args(args)
         config = CampaignConfig(
-            field=field,
-            kinds=(SeqKind(args.kind),),
-            max_param_degree=max(p.degree for p in pair),
+            field=params.field,
+            kinds=(params.kind,),
+            max_param_degree=max(params.a.degree, params.b.degree),
             enumeration=None,
-            n_max=args.n_max,
-            m_max=args.m_max,
+            n_max=_DEFAULT_INDEX if args.n_max is None else args.n_max,
+            m_max=_DEFAULT_INDEX if args.m_max is None else args.m_max,
             checks=ALL_CHECKS,
-            include_excluded=args.include_excluded,
-            params=(pair,),
+            include_excluded=bool(args.include_excluded),
+            params=((params.a, params.b),),
         )
     report = run_campaign(config)
     if args.json:
@@ -185,7 +175,7 @@ def cmd_factor(args):
     if args.squarefree:
         fact = squarefree_decomp(h)
     elif field.char:
-        fact = factor_fp(h, seed=_resolve_seed(args))
+        fact = factor_fp(h)
     else:
         raise UnsupportedField(
             "full factorization over Q is not provided; --squarefree is"
@@ -208,8 +198,8 @@ def cmd_factor(args):
 
 
 def _add_int_flag(sub, flag, cap=None, **kwargs):
-    """An integer flag, read as SEQ_SEED and the flat config are and at most
-    cap when one is given: ConfigInvalid names it."""
+    """An integer flag, read as the flat config reads integers and at most cap
+    when one is given: ConfigInvalid names it."""
 
     def parse(text):
         value = _flat_int(flag, text)
@@ -255,13 +245,13 @@ def build_parser():
     ver = sub.add_parser("verify", help="run a verification campaign")
     ver.add_argument("--config", help="campaign config path (json or key=value)")
     ver.add_argument("--kind", choices=[k.value for k in SeqKind])
-    ver.add_argument("--field", choices=("q", "fp"), default="q")
+    ver.add_argument("--field", choices=("q", "fp"), help="default q")
     _add_int_flag(ver, "--p")
     ver.add_argument("--a")
     ver.add_argument("--b")
-    _add_int_flag(ver, "--n-max", cap=MAX_INDEX, default=12)
-    _add_int_flag(ver, "--m-max", cap=MAX_INDEX, default=12)
-    ver.add_argument("--include-excluded", action="store_true")
+    _add_int_flag(ver, "--n-max", cap=MAX_INDEX)
+    _add_int_flag(ver, "--m-max", cap=MAX_INDEX)
+    ver.add_argument("--include-excluded", action="store_true", default=None)
     ver.add_argument("--json", action="store_true")
     ver.set_defaults(func=cmd_verify)
 
@@ -280,7 +270,6 @@ def build_parser():
     _add_field_flags(fac)
     fac.add_argument("poly", help="polynomial expression")
     fac.add_argument("--squarefree", action="store_true")
-    _add_int_flag(fac, "--seed")
     fac.add_argument("--json", action="store_true")
     fac.set_defaults(func=cmd_factor)
 

@@ -36,6 +36,8 @@ __all__ = [
     "ALL_CHECKS",
     "MAX_INDEX",
     "MAX_PARAM_DEGREE",
+    "MAX_TERM_INDEX",
+    "MAX_COUNT",
     "Exhaustive",
     "Random",
     "CampaignConfig",
@@ -67,9 +69,10 @@ class Random:
 class CampaignConfig:
     """Everything needed to reproduce a campaign run.
 
-    When ``params`` is given it is used verbatim (after validation) and the
-    enumeration strategy is ignored; otherwise pairs come from exhaustive or
-    seeded-random enumeration at degree <= max_param_degree.
+    When ``params`` is given it is used verbatim (after validation), and the
+    enumeration must be exhaustive or None, which both leave it as it is;
+    otherwise pairs come from exhaustive or seeded-random enumeration at
+    degree <= max_param_degree.
     """
 
     field: object
@@ -152,15 +155,20 @@ class VerifyReport:
         }
 
 
-# Caps on the size of a campaign, which computes terms up to index n_max *
-# m_max of parameters of degree up to max_param_degree.  MAX_INDEX also caps
-# every index flag of the CLI: seq verify --n-max/--m-max, seq gen --n,
-# seq primitive --n/--n-max, seq cyclo --n and seq resultant --m/--n.
-# MAX_PARAM_DEGREE also caps the degree of every explicit params pair and of
-# --a and --b in seq gen and seq primitive.  The acceptance tests, the
-# benchmark and the README stay far below them (index 40, degree 4).
+# Caps on the size of a campaign.  MAX_INDEX also caps every index flag of
+# the CLI: seq verify --n-max/--m-max, seq gen --n, seq primitive --n/--n-max,
+# seq cyclo --n and seq resultant --m/--n.  MAX_PARAM_DEGREE also caps the
+# degree of every explicit params pair and of --a and --b.  MAX_TERM_INDEX
+# caps the term index the lehmer checks reach (up to n_max * m_max, see
+# _lehmer_reach); a term's size grows with that index times the parameter
+# degree.  MAX_COUNT caps the pairs per kind of a random enumeration.  The
+# acceptance tests, the benchmark and the README stay far below them (index
+# 40, term index 144, degree 4, count 50).
 MAX_INDEX = 100
 MAX_PARAM_DEGREE = 32
+MAX_TERM_INDEX = 2000
+MAX_COUNT = 1000
+_DEFAULT_INDEX = 12  # n_max and m_max where a config or inline seq verify omits them
 
 
 def _at_most(key, value, cap):
@@ -168,6 +176,19 @@ def _at_most(key, value, cap):
     if value > cap:
         raise ConfigInvalid(f"{key} must be at most {cap}, got {value}")
     return value
+
+
+def _lehmer_reach(config):
+    """The largest term index of the lehmer checks beyond n_max: term(m*n) in
+    valuation_stability (n <= n_max, m <= m_max prime to the characteristic)
+    and in index_scaled_coprime (odd m, n <= m_max)."""
+    p, m_max = config.field.char, config.m_max
+    reach = 0
+    if "valuation_stability" in config.checks:
+        reach = config.n_max * (m_max - 1 if p and m_max % p == 0 else m_max)
+    if "index_scaled_coprime" in config.checks:
+        reach = max(reach, (m_max - 1 + m_max % 2) ** 2)
+    return reach
 
 
 def validate_config(config):
@@ -195,10 +216,15 @@ def validate_config(config):
     _at_most("max_param_degree", config.max_param_degree, MAX_PARAM_DEGREE)
     _at_most("n_max", config.n_max, MAX_INDEX)
     _at_most("m_max", config.m_max, MAX_INDEX)
+    if SeqKind.LEHMER in config.kinds:
+        key = f"the term index that n_max = {config.n_max} and m_max = {config.m_max} reach"
+        _at_most(key, _lehmer_reach(config), MAX_TERM_INDEX)
     needs_reports = {"zsigmondy", "primitive_part_phi"} & set(config.checks)
     if needs_reports and config.n_max < 3:
         raise ConfigInvalid("primitive-divisor checks need n_max >= 3")
     if config.params is not None:
+        if isinstance(config.enumeration, Random):
+            raise ConfigInvalid("enumeration must be exhaustive or null beside params, got random")
         if not config.params:
             raise ConfigInvalid("explicit parameter list is empty")
         for pair in config.params:
@@ -215,6 +241,7 @@ def validate_config(config):
     elif isinstance(config.enumeration, Random):
         if config.enumeration.count < 1:
             raise ConfigInvalid("random enumeration needs count >= 1")
+        _at_most("count", config.enumeration.count, MAX_COUNT)
     else:
         raise ConfigInvalid("enumeration must be exhaustive or random")
 
@@ -564,7 +591,9 @@ def parse_config(text):
     writes it), n_max, m_max, checks (names or "all"), include_excluded,
     params (pairs of polynomial strings).  p, max_param_degree, n_max, m_max,
     count and seed must be JSON integers (max_param_degree at most
-    MAX_PARAM_DEGREE, n_max and m_max at most MAX_INDEX), include_excluded a
+    MAX_PARAM_DEGREE, n_max and m_max at most MAX_INDEX, count at most
+    MAX_COUNT, and for the lehmer kind the term index its checks reach at
+    most MAX_TERM_INDEX), include_excluded a
     JSON boolean, kinds and checks lists of strings, and params a list of
     two-string lists, each polynomial of degree at most MAX_PARAM_DEGREE; a
     repeated kind or check is kept once, at its first place.  The key=value
@@ -573,7 +602,8 @@ def parse_config(text):
     enumeration is "exhaustive" or "random:count:seed", integers are
     optionally signed decimal digits, and include_excluded is one of
     true/false/yes/no/1/0.  Any other value, an unknown or repeated key (in
-    field and enumeration too) and a p without the fp field raise ConfigInvalid.
+    field and enumeration too), a p without the fp field and a random
+    enumeration beside params raise ConfigInvalid.
     """
     stripped = text.lstrip()
     if stripped.startswith("{"):
@@ -630,8 +660,8 @@ def _config_from_dict(doc):
         kinds=kinds,
         max_param_degree=_json_int(doc, "max_param_degree", 2),
         enumeration=enumeration,
-        n_max=_json_int(doc, "n_max", 12),
-        m_max=_json_int(doc, "m_max", 12),
+        n_max=_json_int(doc, "n_max", _DEFAULT_INDEX),
+        m_max=_json_int(doc, "m_max", _DEFAULT_INDEX),
         checks=checks,
         include_excluded=include_excluded,
         params=params,

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from seqdiv import verifier
 from seqdiv.cli import build_parser, main
 from seqdiv.coeff import PrimeField
 from seqdiv.polyring import parse_poly
@@ -299,6 +300,40 @@ class TestVerify:
         )
         assert code == 2 and err.startswith("ConfigInvalid:")
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--kind", "lucas"), ("--field", "q"), ("--p", "3"), ("--a", "x"), ("--b", "1"),
+            ("--n-max", "9"), ("--m-max", "9"), ("--include-excluded", None),
+        ],
+    )
+    def test_config_refuses_every_inline_flag(self, capsys, tmp_path, flag, value):
+        path = tmp_path / "c.cfg"
+        path.write_text("field = q\nkinds = lucas\nchecks = strong_div\nparams = x,1\n")
+        given = [flag] if value is None else [flag, value]
+        code, out, err = run(capsys, "verify", "--config", str(path), *given, "--json")
+        assert code == 2 and out == ""
+        assert err == f"ConfigInvalid: --config and {flag} are mutually exclusive\n"
+
+    def test_inline_defaults(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "--kind", "lehmer", "--a", "x^2+1", "--b", "x", "--json"
+        )
+        config = json.loads(out)["config"]
+        assert code == 0
+        assert config["field"] == {"type": "q"}
+        assert (config["n_max"], config["m_max"], config["include_excluded"]) == (12, 12, False)
+
+    def test_inline_lehmer_reach_above_the_cap_exits_2(self, capsys, monkeypatch):
+        # without the cap the campaign would build term(10000): fail at once instead
+        monkeypatch.setattr(verifier, "_RUNNERS", {})
+        code, out, err = run(
+            capsys, "verify", "--kind", "lehmer", "--a", "x^2+1", "--b", "x",
+            "--n-max", "100", "--m-max", "100",
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("ConfigInvalid: the term index that n_max = 100 and m_max = 100")
+
     def test_inline_index_bound_is_checked_by_the_campaign(self, capsys):
         code, out, err = run(
             capsys, "verify", "--kind", "power", "--field", "fp", "--p", "3",
@@ -440,29 +475,19 @@ class TestSeedHandling:
         assert code == 0
         assert out.strip() == "(x+2)(x+3)"
 
-    def test_env_seed_must_be_integer(self, capsys, monkeypatch):
-        monkeypatch.setenv("SEQ_SEED", "banana")
-        code, _, err = run(capsys, *self.ARGS)
-        assert code == 2
-        assert err.startswith("ConfigInvalid:")
-
-    @pytest.mark.parametrize("raw", ["1_000", " 7", "٣"])
-    def test_env_seed_must_be_plain_decimal(self, capsys, monkeypatch, raw):
+    @pytest.mark.parametrize("raw", ["banana", "1_000", " 7", "٣"])
+    def test_env_seed_is_not_read(self, capsys, monkeypatch, raw):
         monkeypatch.setenv("SEQ_SEED", raw)
-        code, _, err = run(capsys, *self.ARGS)
-        assert code == 2
-        assert err.startswith("ConfigInvalid:")
-
-    def test_flag_overrides_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("SEQ_SEED", "banana")
-        code, out, _ = run(capsys, *self.ARGS, "--seed", "3")
-        assert code == 0
+        code, out, err = run(capsys, *self.ARGS)
+        assert code == 0 and err == ""
         assert out.strip() == "(x+2)(x+3)"
 
-    def test_output_independent_of_seed(self, capsys):
-        _, first, _ = run(capsys, *self.ARGS, "--seed", "1")
-        _, second, _ = run(capsys, *self.ARGS, "--seed", "1234")
-        assert first == second
+    @pytest.mark.parametrize("raw", ["3", "1_000", " 7", "٣", "3.0", ""])
+    def test_factor_has_no_seed_flag(self, capsys, raw):
+        with pytest.raises(SystemExit) as exc:
+            main([*self.ARGS, "--seed", raw])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
 
 
 class TestNegativeParameters:
@@ -507,7 +532,6 @@ class TestIntegerFlags:
             (["cyclo"], "--n"),
             (["resultant", "--n", "3"], "--m"),
             (["resultant", "--m", "3"], "--n"),
-            (["factor", "--field", "fp", "--p", "5", "x^2+1"], "--seed"),
         ],
     )
     def test_only_plain_decimal_integers(self, capsys, argv, flag, raw):
@@ -563,6 +587,15 @@ class TestCaps:
     def test_parameter_degree_above_the_cap_exits_2(self, capsys, cmd, flag):
         pair = {"--a": "x+1", "--b": "x", flag: f"x^{MAX_PARAM_DEGREE + 1}+x+1"}
         argv = [cmd, "--kind", "power", "--field", "fp", "--p", "3", "--n", "3"]
+        code, out, err = run(capsys, *argv, *[v for item in pair.items() for v in item])
+        assert code == 2 and out == ""
+        cap = MAX_PARAM_DEGREE
+        assert err == f"ConfigInvalid: {flag} degree must be at most {cap}, got {cap + 1}\n"
+
+    @pytest.mark.parametrize("flag", ["--a", "--b"])
+    def test_verify_parameter_degree_above_the_cap_names_the_flag(self, capsys, flag):
+        pair = {"--a": "x+1", "--b": "x", flag: f"x^{MAX_PARAM_DEGREE + 1}+x+1"}
+        argv = ["verify", "--kind", "power", "--field", "fp", "--p", "3"]
         code, out, err = run(capsys, *argv, *[v for item in pair.items() for v in item])
         assert code == 2 and out == ""
         cap = MAX_PARAM_DEGREE

@@ -49,6 +49,13 @@ class TestPrimeField:
             f.parse_scalar("1/2")
         assert f.parse_scalar("-1") == 4
 
+    def test_bad_literal_and_value(self):
+        f = PrimeField(5)
+        with pytest.raises(ParseError, match="bad integer literal"):
+            f.parse_scalar("abc")
+        with pytest.raises(WrongField):
+            f.normalize(Fraction(1, 2))
+
     def test_equality_is_by_characteristic(self):
         assert PrimeField(5) == PrimeField(5)
         assert PrimeField(5) != PrimeField(7)

@@ -86,6 +86,10 @@ class TestPrimitivePart:
         assert rep.has_primitive and rep.matches_phi and not rep.excluded
         assert rep.position == 3
 
+    def test_rejects_index_zero(self):
+        with pytest.raises(PreconditionViolated):
+            primitive_part(mk("power", Q, "x+1", "x"), 0)
+
     def test_lucas_frozen_q(self):
         params = mk("lucas", Q, "x", "1")
         rep = primitive_part(params, 6)
@@ -251,6 +255,11 @@ class TestValuationStability:
         with pytest.raises(PreconditionViolated):
             valuation_stability_check(params, parse_poly(Q, "x"), 3, 2)
 
+    def test_rejects_small_index(self):
+        params = mk("lehmer", Q, "x", "1")
+        with pytest.raises(PreconditionViolated):
+            valuation_stability_check(params, parse_poly(Q, "x"), 2, 3)
+
 
 class TestCoprimalityLemmas:
     def test_sum_square_frozen(self):
@@ -280,6 +289,11 @@ class TestCoprimalityLemmas:
             index_scaled_coprime_check(params, 2, 3)
         with pytest.raises(PreconditionViolated):
             index_scaled_coprime_check(params, 3, 4)
+
+    def test_index_scaled_lehmer_only(self):
+        params = mk("lucas", Q, "x", "1")
+        with pytest.raises(PreconditionViolated):
+            index_scaled_coprime_check(params, 3, 5)
 
     def test_coprime_pair_frozen(self):
         lucas = mk("lucas", Q, "x", "1")

@@ -210,6 +210,13 @@ class TestValuation:
         e, rest = _strip_power(q, h * q**k)
         assert e >= k and rest * q**e == h * q**k and not (rest % q).is_zero()
 
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_strip_power_of_zero(self, field):
+        # over F_p 0 / q = 0, so without its guard the loop would never end
+        zero = Poly.zero(field)
+        e, rest = _strip_power(parse_poly(field, "x+1"), zero)
+        assert e == 0 and rest.is_zero()
+
 
 INTS = st.lists(st.integers(-6, 6), min_size=1, max_size=6)
 NONZERO_LEAD = INTS.filter(lambda b: b[-1] != 0)
@@ -260,6 +267,11 @@ class TestParseFormat:
     @pytest.mark.parametrize("bad", ["", "x^^2", "x^", "^2", "x**2", "x+", "(x+1)"])
     def test_parse_rejects(self, rationals, bad):
         with pytest.raises(ParseError):
+            parse_poly(rationals, bad)
+
+    @pytest.mark.parametrize("bad", ["*", "3*", "*x", "x+3*"])
+    def test_stray_star_is_a_bad_term(self, rationals, bad):
+        with pytest.raises(ParseError, match="bad term"):
             parse_poly(rationals, bad)
 
     def test_exponent_cap(self, f5):

@@ -11,6 +11,8 @@ from seqdiv.polyring import parse_poly
 from seqdiv.sequences import SeqKind
 from seqdiv.verifier import (
     ALL_CHECKS,
+    MAX_COUNT,
+    MAX_TERM_INDEX,
     CampaignConfig,
     Exhaustive,
     Random,
@@ -123,6 +125,45 @@ class TestConfigValidation:
         assert len(enumerate_params(cfg("x^32"))[0]) == 1
         with pytest.raises(ConfigInvalid, match="params degree must be at most 32, got 33"):
             enumerate_params(cfg("x^33"))
+
+    def test_random_count_is_capped(self):
+        verifier.validate_config(config(enumeration=Random(count=MAX_COUNT, seed=0)))
+        with pytest.raises(ConfigInvalid, match=f"count must be at most {MAX_COUNT}, got 1001"):
+            verifier.validate_config(config(enumeration=Random(count=MAX_COUNT + 1, seed=0)))
+
+    def test_random_enumeration_beside_params_is_refused(self):
+        pair = (parse_poly(Q, "x"), parse_poly(Q, "1"))
+        explicit = dict(field=Q, kinds=(SeqKind.LUCAS,), params=(pair,))
+        with pytest.raises(ConfigInvalid, match="enumeration"):
+            enumerate_params(config(enumeration=Random(count=0, seed=1), **explicit))
+        for enumeration in (Exhaustive(), None):
+            assert len(enumerate_params(config(enumeration=enumeration, **explicit))[0]) == 1
+
+    @pytest.mark.parametrize(
+        "field,checks,n_max,m_max,reach",
+        [
+            (Q, ("valuation_stability",), 100, 20, 2000),
+            (Q, ("valuation_stability",), 100, 21, 2100),
+            (F3, ("valuation_stability",), 100, 21, 2000),  # m = 21 is skipped over F_3
+            (Q, ("index_scaled_coprime",), 3, 44, 1849),
+            (Q, ("index_scaled_coprime",), 3, 45, 2025),
+            (Q, ALL_CHECKS, 12, 12, 144),
+            (Q, ALL_CHECKS, 100, 100, 10000),
+        ],
+    )
+    def test_lehmer_term_reach_is_capped(self, field, checks, n_max, m_max, reach):
+        pair = (parse_poly(field, "x^2+1"), parse_poly(field, "x"))
+        cfg = config(field=field, kinds=(SeqKind.LEHMER,), enumeration=None, params=(pair,),
+                     checks=checks, n_max=n_max, m_max=m_max)
+        if reach <= MAX_TERM_INDEX:
+            assert len(enumerate_params(cfg)[0]) == 1
+        else:
+            with pytest.raises(ConfigInvalid, match=f"n_max = {n_max} and m_max = {m_max} "
+                               f"reach must be at most {MAX_TERM_INDEX}, got {reach}"):
+                enumerate_params(cfg)
+        # the other kinds compute no term beyond n_max
+        lucas = dataclasses.replace(cfg, kinds=(SeqKind.LUCAS,))
+        assert len(enumerate_params(lucas)[0]) == 1
 
 
 class TestEnumeration:
@@ -403,6 +444,43 @@ class TestConfigParsing:
             "enumeration = random:5:42\nmax_param_degree = 2\n"
         )
         assert cfg.enumeration == Random(count=5, seed=42)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "enumeration = random:1001:0",
+            '{"type": "random", "count": 1001, "seed": 0}',
+        ],
+        ids=["flat", "json"],
+    )
+    def test_random_count_above_the_cap_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "c.cfg"
+        if text.startswith("{"):
+            doc = json.loads(self.JSON_DOC)
+            doc["enumeration"] = json.loads(text)
+            path.write_text(json.dumps(doc), encoding="utf-8")
+        else:
+            path.write_text("field = fp\np = 3\nkinds = power\nchecks = all\n" + text + "\n")
+        assert main(["verify", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"ConfigInvalid: count must be at most {MAX_COUNT}, got 1001\n"
+
+    @pytest.mark.parametrize("fmt", ["json", "flat"])
+    def test_random_enumeration_beside_params_exits_2(self, tmp_path, capsys, fmt):
+        path = tmp_path / "c.cfg"
+        if fmt == "json":
+            doc = {"field": {"type": "q"}, "kinds": ["lucas"], "checks": ["all"],
+                   "enumeration": {"type": "random", "count": 0, "seed": 1}, "params": [["x", "1"]]}
+            path.write_text(json.dumps(doc), encoding="utf-8")
+        else:
+            path.write_text("field = q\nkinds = lucas\nchecks = all\nenumeration = random:3:1\n"
+                            "params = x,1\n")
+        assert main(["verify", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("ConfigInvalid: enumeration")
+
+    def test_params_shorthand_trailing_semicolon(self):
+        cfg = parse_config("field = q\nkinds = lucas\nchecks = strong_div\nparams = x,1;\n")
+        assert [tuple(map(str, pair)) for pair in cfg.params] == [("x", "1")]
 
     def test_params_shorthand(self):
         cfg = parse_config(
