@@ -489,6 +489,14 @@ class TestSeedHandling:
         assert exc.value.code == 2
         assert "unrecognized arguments: --seed" in capsys.readouterr().err
 
+    def test_output_independent_of_seed(self, capsys, monkeypatch):
+        monkeypatch.setenv("SEQ_SEED", "1")
+        first = run(capsys, *self.ARGS)
+        monkeypatch.setenv("SEQ_SEED", "1234")
+        second = run(capsys, *self.ARGS)
+        monkeypatch.delenv("SEQ_SEED")
+        assert first == second == run(capsys, *self.ARGS)
+
 
 class TestNegativeParameters:
     @pytest.mark.parametrize(
