@@ -3,103 +3,8 @@
 Lehmer, Lucas, and power-difference sequences with exact coefficient
 arithmetic, cyclotomic machinery, finite-field factorization, primitive
 prime divisor reports, and a campaign verifier that checks the divisibility
-theorems mechanically on enumerable parameter grids.
+theorems mechanically on enumerable parameter grids.  Every name is imported
+from its module, for example ``from seqdiv.sequences import term``.
 """
 
-from .coeff import PrimeField, Rationals
-from .cyclokit import (
-    cyclotomic_form,
-    divisors,
-    euler_phi,
-    mobius,
-    power_diff_form,
-    power_sum_form,
-    resultant,
-)
-from .divisibility import (
-    PrimitiveReport,
-    primitive_part,
-    strong_div_check,
-    zsigmondy_check,
-    zsigmondy_failures,
-)
-from .errors import (
-    BothUnits,
-    ConfigInvalid,
-    NotCoprime,
-    OracleMismatch,
-    ParseError,
-    PreconditionViolated,
-    RatioRootOfUnity,
-    SeqdivError,
-    UnsupportedField,
-    ValidationError,
-    ZeroParameter,
-)
-from .factorization import factor_fp, squarefree_decomp
-from .polyring import Poly, exact_div, monic, parse_poly, poly_gcd
-from .sequences import SeqKind, SeqParams, cyclotomic_value, oracle_term, term, validate
-from .verifier import (
-    ALL_CHECKS,
-    CampaignConfig,
-    Exhaustive,
-    Random,
-    VerifyReport,
-    load_config,
-    parse_config,
-    render_report,
-    run_campaign,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "PrimeField",
-    "Rationals",
-    "Poly",
-    "parse_poly",
-    "poly_gcd",
-    "exact_div",
-    "monic",
-    "divisors",
-    "mobius",
-    "euler_phi",
-    "power_diff_form",
-    "power_sum_form",
-    "cyclotomic_form",
-    "resultant",
-    "factor_fp",
-    "squarefree_decomp",
-    "SeqKind",
-    "SeqParams",
-    "validate",
-    "term",
-    "oracle_term",
-    "cyclotomic_value",
-    "PrimitiveReport",
-    "strong_div_check",
-    "primitive_part",
-    "zsigmondy_check",
-    "zsigmondy_failures",
-    "ALL_CHECKS",
-    "Exhaustive",
-    "Random",
-    "CampaignConfig",
-    "VerifyReport",
-    "run_campaign",
-    "parse_config",
-    "load_config",
-    "render_report",
-    "SeqdivError",
-    "ValidationError",
-    "ZeroParameter",
-    "NotCoprime",
-    "BothUnits",
-    "RatioRootOfUnity",
-    "ParseError",
-    "ConfigInvalid",
-    "UnsupportedField",
-    "PreconditionViolated",
-    "OracleMismatch",
-    "__version__",
-]

@@ -36,8 +36,6 @@ __all__ = [
     "primitive_part",
     "zsigmondy_check",
     "zsigmondy_claimed",
-    "zsigmondy_failures",
-    "phi_match_failures",
     "valuation_stability_check",
     "term_divisors",
     "sum_square_coprime_check",
@@ -186,20 +184,6 @@ def zsigmondy_claimed(report, include_excluded=False):
     return report.position >= 3
 
 
-def zsigmondy_failures(reports, include_excluded=False):
-    """Reports where the primitive-divisor claim applies but fails."""
-    return [
-        r
-        for r in reports
-        if zsigmondy_claimed(r, include_excluded) and not r.has_primitive
-    ]
-
-
-def phi_match_failures(reports):
-    """Non-excluded reports at n >= 3 whose primitive part is not the cyclotomic value."""
-    return [r for r in reports if r.n >= 3 and not r.excluded and not r.matches_phi]
-
-
 def _term_valuation(params, q, n):
     """valuation(q, term(n)), computed once per sequence.
 
@@ -271,16 +255,14 @@ def index_scaled_coprime_check(params, m, n):
 def coprime_pair_check(params, m, n):
     """True iff term(m) and term(n) generate coprime ideals, for coprime m, n.
 
-    For the lehmer kind the statement covers odd m with n of either parity,
-    so m must be odd (swap the pair if needed).  Reads and fills the gcd
-    table under the key (min(m, n), max(m, n)).
+    For the lehmer kind the statement needs one odd index, and one of two
+    coprime indices always is.  Symmetric in m and n: reads and fills the
+    gcd table under the key (min(m, n), max(m, n)).
     """
     if params.kind is SeqKind.POWER:
         raise PreconditionViolated("pairwise coprimality applies to lucas and lehmer terms")
     if int_gcd(m, n) != 1:
         raise PreconditionViolated(f"indices {m}, {n} are not coprime")
-    if params.kind is SeqKind.LEHMER and m % 2 == 0:
-        raise PreconditionViolated("for the lehmer kind the first index must be odd")
     return _term_gcd(params, m, n).is_unit()
 
 

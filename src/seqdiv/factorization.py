@@ -42,7 +42,6 @@ from .polyring import (
 )
 
 __all__ = [
-    "DEFAULT_SEED",
     "Factorization",
     "factors_text",
     "squarefree_decomp",
@@ -51,7 +50,7 @@ __all__ = [
     "low_degree_factors_q",
 ]
 
-DEFAULT_SEED = 1
+_DEFAULT_SEED = 1
 
 
 class Factorization:
@@ -254,7 +253,7 @@ def _edf(f, d, ring, rng, field):
             return _edf(g, d, ring, rng, field) + _edf(rest, d, ring, rng, field)
 
 
-def factor_fp(h, seed=None):
+def factor_fp(h):
     """Complete factorization over F_p into monic irreducibles with exponents."""
     if not isinstance(h.field, PrimeField):
         raise UnsupportedField("full factorization is implemented over F_p only")
@@ -264,7 +263,7 @@ def factor_fp(h, seed=None):
     f = h.monic()
     if f.degree < 1:
         return Factorization(h.field, unit, ())
-    rng = random.Random(DEFAULT_SEED if seed is None else seed)
+    rng = random.Random(_DEFAULT_SEED)
     factors = []
     for part, mult in _sqf(f):
         ring = _QuotientRing(part.coeffs, h.field.p)

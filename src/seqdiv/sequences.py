@@ -55,6 +55,7 @@ class SeqParams:
     gcd(term(m), term(n)) keyed by (m, n) with m <= n, and _val the
     valuation(q, term(n)) keyed by (q.coeffs, n).  The last two are filled
     by the divisibility checks, each only with values actually computed.
+    Compared by identity: two objects for one pair keep separate caches.
     """
 
     __slots__ = (
@@ -73,23 +74,8 @@ class SeqParams:
         self._gcd = {}
         self._val = {}
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, SeqParams)
-            and other.kind == self.kind
-            and other.field == self.field
-            and other.a == self.a
-            and other.b == self.b
-        )
-
-    def __hash__(self):
-        return hash((self.kind, self.field, self.a, self.b))
-
     def __repr__(self):
         return f"SeqParams({self.kind.value!r}, {self.field!r}, {self.a!r}, {self.b!r})"
-
-    def describe(self):
-        return f"{self.kind.value}(a={self.a}, b={self.b})"
 
 
 def validate(kind, field, a, b):

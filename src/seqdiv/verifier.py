@@ -37,6 +37,7 @@ __all__ = [
     "MAX_INDEX",
     "MAX_PARAM_DEGREE",
     "MAX_TERM_INDEX",
+    "MAX_TERM_DEGREE",
     "MAX_COUNT",
     "Exhaustive",
     "Random",
@@ -160,13 +161,14 @@ class VerifyReport:
 # seq cyclo --n and seq resultant --m/--n.  MAX_PARAM_DEGREE also caps the
 # degree of every explicit params pair and of --a and --b.  MAX_TERM_INDEX
 # caps the term index the lehmer checks reach (up to n_max * m_max, see
-# _lehmer_reach); a term's size grows with that index times the parameter
-# degree.  MAX_COUNT caps the pairs per kind of a random enumeration.  The
-# acceptance tests, the benchmark and the README stay far below them (index
-# 40, term index 144, degree 4, count 50).
+# _lehmer_reach), and MAX_TERM_DEGREE that index times the parameter degree,
+# which bounds the degree of the terms reached.  MAX_COUNT caps the pairs per
+# kind of a random enumeration.  The acceptance tests, the benchmark and the
+# README stay far below them (index 40, term index 144, degree 4, count 50).
 MAX_INDEX = 100
 MAX_PARAM_DEGREE = 32
 MAX_TERM_INDEX = 2000
+MAX_TERM_DEGREE = 2 * MAX_TERM_INDEX
 MAX_COUNT = 1000
 _DEFAULT_INDEX = 12  # n_max and m_max where a config or inline seq verify omits them
 
@@ -189,6 +191,14 @@ def _lehmer_reach(config):
     if "index_scaled_coprime" in config.checks:
         reach = max(reach, (m_max - 1 + m_max % 2) ** 2)
     return reach
+
+
+def _param_degree(config):
+    """The largest parameter degree of a campaign: that of the explicit
+    params when given, else max_param_degree."""
+    if config.params is not None:
+        return max(q.degree for pair in config.params for q in pair)
+    return config.max_param_degree
 
 
 def validate_config(config):
@@ -216,9 +226,9 @@ def validate_config(config):
     _at_most("max_param_degree", config.max_param_degree, MAX_PARAM_DEGREE)
     _at_most("n_max", config.n_max, MAX_INDEX)
     _at_most("m_max", config.m_max, MAX_INDEX)
+    reaches = f"that n_max = {config.n_max} and m_max = {config.m_max} reach"
     if SeqKind.LEHMER in config.kinds:
-        key = f"the term index that n_max = {config.n_max} and m_max = {config.m_max} reach"
-        _at_most(key, _lehmer_reach(config), MAX_TERM_INDEX)
+        _at_most(f"the term index {reaches}", _lehmer_reach(config), MAX_TERM_INDEX)
     needs_reports = {"zsigmondy", "primitive_part_phi"} & set(config.checks)
     if needs_reports and config.n_max < 3:
         raise ConfigInvalid("primitive-divisor checks need n_max >= 3")
@@ -231,8 +241,7 @@ def validate_config(config):
             if len(pair) != 2 or any(q.field != field for q in pair):
                 raise ConfigInvalid("explicit params must be pairs over the config field")
             _at_most("params degree", max(q.degree for q in pair), MAX_PARAM_DEGREE)
-        return
-    if isinstance(config.enumeration, Exhaustive):
+    elif isinstance(config.enumeration, Exhaustive):
         if not field.char or field.p > 7 or config.max_param_degree > 3:
             raise ConfigInvalid(
                 "exhaustive enumeration is limited to prime fields with "
@@ -242,8 +251,14 @@ def validate_config(config):
         if config.enumeration.count < 1:
             raise ConfigInvalid("random enumeration needs count >= 1")
         _at_most("count", config.enumeration.count, MAX_COUNT)
+        if config.max_param_degree == 0:  # every draw would be two constants
+            raise ConfigInvalid("random enumeration needs max_param_degree >= 1, got 0")
     else:
         raise ConfigInvalid("enumeration must be exhaustive or random")
+    if SeqKind.LEHMER in config.kinds:
+        degree = _param_degree(config)
+        key = f"the term degree {reaches} at parameter degree {degree}"
+        _at_most(key, _lehmer_reach(config) * degree, MAX_TERM_DEGREE)
 
 
 def _candidates(field, max_deg, leads):
@@ -419,10 +434,7 @@ def _run_coprime_pairs(params, config, ctx):
         for n in range(m + 1, config.n_max + 1):
             if int_gcd(m, n) != 1:
                 continue
-            if params.kind is SeqKind.LEHMER and m % 2 == 0:
-                ok = coprime_pair_check(params, n, m)
-            else:
-                ok = coprime_pair_check(params, m, n)
+            ok = coprime_pair_check(params, m, n)
             detail = "" if ok else f"gcd(term({m}), term({n})) is not a unit"
             yield {"m": m, "n": n}, ok, detail
 
@@ -593,7 +605,8 @@ def parse_config(text):
     count and seed must be JSON integers (max_param_degree at most
     MAX_PARAM_DEGREE, n_max and m_max at most MAX_INDEX, count at most
     MAX_COUNT, and for the lehmer kind the term index its checks reach at
-    most MAX_TERM_INDEX), include_excluded a
+    most MAX_TERM_INDEX and that index times the parameter degree at most
+    MAX_TERM_DEGREE), include_excluded a
     JSON boolean, kinds and checks lists of strings, and params a list of
     two-string lists, each polynomial of degree at most MAX_PARAM_DEGREE; a
     repeated kind or check is kept once, at its first place.  The key=value
@@ -603,7 +616,7 @@ def parse_config(text):
     optionally signed decimal digits, and include_excluded is one of
     true/false/yes/no/1/0.  Any other value, an unknown or repeated key (in
     field and enumeration too), a p without the fp field and a random
-    enumeration beside params raise ConfigInvalid.
+    enumeration beside params or at max_param_degree 0 raise ConfigInvalid.
     """
     stripped = text.lstrip()
     if stripped.startswith("{"):
@@ -736,9 +749,7 @@ def render_report(report):
     config = report.config
     field = config.field
     field_text = f"F_{field.p}" if field.char else "Q"
-    degree = config.max_param_degree
-    if config.params is not None:
-        degree = max(q.degree for pair in config.params for q in pair)
+    degree = _param_degree(config)
     lines = [
         "campaign over {} | kinds: {} | degree <= {}".format(
             field_text,

@@ -20,7 +20,13 @@ from seqdiv.cyclokit import (
     rem_mod_sum_square,
     resultant,
 )
-from seqdiv.errors import ConstantForm, NotDivisible, ZeroArgument
+from seqdiv.errors import (
+    ConstantForm,
+    DegreeMismatch,
+    DivisionByZero,
+    NotDivisible,
+    ZeroArgument,
+)
 from seqdiv.polyring import parse_poly
 
 
@@ -40,6 +46,21 @@ class TestNumberTheory:
     @pytest.mark.parametrize("n,phi", [(1, 1), (2, 1), (6, 2), (12, 4), (97, 96)])
     def test_euler_phi(self, n, phi):
         assert euler_phi(n) == phi
+
+    @pytest.mark.parametrize(
+        "fn,args",
+        [
+            (mobius, (0,)),
+            (euler_phi, (0,)),
+            (power_diff_form, (0,)),
+            (power_sum_form, (0,)),
+            (power_sum_resultant_check, (1, 3)),
+        ],
+        ids=["mobius", "euler_phi", "power_diff_form", "power_sum_form", "resultant_check"],
+    )
+    def test_index_guards(self, fn, args):
+        with pytest.raises(ZeroArgument):
+            fn(*args)
 
     @given(n=st.integers(1, 300))
     def test_mobius_sums_to_zero(self, n):
@@ -67,6 +88,26 @@ class TestForms:
     def test_str_signs_and_units(self, degree, coeffs, text):
         assert str(BivarForm(degree, coeffs)) == text
 
+    def test_value_semantics(self):
+        form = BivarForm(2, [1, 0, -1])
+        assert repr(form) == "BivarForm(2, (1, 0, -1))"
+        assert hash(form) == hash(power_diff_form(1) * power_sum_form(2))
+        with pytest.raises(AttributeError):
+            form.degree = 3
+        with pytest.raises(ValueError):
+            BivarForm(2, [1, 0])
+
+    @pytest.mark.parametrize("other", [1, "X", None])
+    def test_foreign_operand_is_a_type_error(self, other):
+        form = power_sum_form(2)
+        for op in (lambda: form + other, lambda: form - other, lambda: form * other):
+            with pytest.raises(TypeError):
+                op()
+
+    def test_degree_mismatch(self):
+        with pytest.raises(DegreeMismatch):
+            power_sum_form(2) + power_sum_form(3)
+
     @given(
         a=st.lists(st.integers(-5, 5), min_size=3, max_size=3),
         b=st.lists(st.integers(-5, 5), min_size=3, max_size=3),
@@ -90,6 +131,14 @@ class TestForms:
     def test_exact_div_rejects(self):
         with pytest.raises(NotDivisible):
             form_exact_div(cyclotomic_form(6), power_sum_form(2))
+        # X*Y divides Y^2 once X is set to 1, but not as a form
+        with pytest.raises(NotDivisible, match="higher power of X"):
+            form_exact_div(BivarForm(2, [0, 0, 1]), BivarForm(2, [0, 1, 0]))
+        with pytest.raises(DivisionByZero):
+            form_exact_div(power_sum_form(2), BivarForm.zero())
+
+    def test_exact_div_of_zero(self):
+        assert form_exact_div(BivarForm.zero(), power_sum_form(3)) == BivarForm.zero()
 
 
 class TestCyclotomic:

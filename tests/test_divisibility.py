@@ -7,7 +7,6 @@ from seqdiv.coeff import PrimeField, Rationals
 from seqdiv.divisibility import (
     coprime_pair_check,
     index_scaled_coprime_check,
-    phi_match_failures,
     primitive_part,
     primitive_parts_factored,
     strong_div_check,
@@ -16,7 +15,6 @@ from seqdiv.divisibility import (
     valuation_stability_check,
     zsigmondy_check,
     zsigmondy_claimed,
-    zsigmondy_failures,
 )
 from seqdiv.errors import PreconditionViolated, UnsupportedField, ValidationError
 from seqdiv.factorization import factor_fp
@@ -31,6 +29,11 @@ F5 = PrimeField(5)
 
 def mk(kind, field, a, b):
     return validate(SeqKind(kind), field, parse_poly(field, a), parse_poly(field, b))
+
+
+def claim_failures(reports, include_excluded=False):
+    """Reports where the primitive-divisor claim applies but fails."""
+    return [r for r in reports if zsigmondy_claimed(r, include_excluded) and not r.has_primitive]
 
 
 class TestStrongDivisibility:
@@ -128,7 +131,8 @@ class TestPhiMatch:
     )
     def test_primitive_part_is_cyclotomic_value(self, kind, field, a, b):
         params = mk(kind, field, a, b)
-        assert phi_match_failures(zsigmondy_check(params, 12)) == []
+        reports = zsigmondy_check(params, 12)
+        assert all(r.matches_phi for r in reports if r.n >= 3 and not r.excluded)
 
     def test_match_holds_even_when_part_is_trivial(self):
         # when the primitive part collapses to a unit the cyclotomic value
@@ -150,7 +154,7 @@ class TestZsigmondy:
     def test_clean_run_q(self):
         params = mk("lucas", Q, "x", "1")
         reports = zsigmondy_check(params, 12)
-        assert zsigmondy_failures(reports) == []
+        assert claim_failures(reports) == []
         assert all(r.has_primitive for r in reports if r.n >= 3)
 
     def test_claim_gate(self):
@@ -167,21 +171,21 @@ class TestZsigmondy:
         # term for (x+1, x) is a - b = 1, so no primitive divisor exists
         params = mk("lehmer", Q, "x+1", "x")
         reports = zsigmondy_check(params, 6)
-        bad = zsigmondy_failures(reports)
+        bad = claim_failures(reports)
         assert [r.n for r in bad] == [3]
         assert str(bad[0].term) == "1"
 
     def test_counterexample_lucas_q(self):
         # same collapse for the lucas kind: L_3 = P^2 - Q = 1 here
         params = mk("lucas", Q, "x", "x^2-1")
-        bad = zsigmondy_failures(zsigmondy_check(params, 6))
+        bad = claim_failures(zsigmondy_check(params, 6))
         assert [r.n for r in bad] == [3]
 
     def test_counterexample_lehmer_f3(self):
         # U_4 = a - 2b becomes the unit 1 over F_3 for (x, 2x+1)
         params = mk("lehmer", F3, "x", "2*x+1")
         reports = zsigmondy_check(params, 8)
-        bad = zsigmondy_failures(reports)
+        bad = claim_failures(reports)
         assert [r.n for r in bad] == [4]
         assert str(bad[0].term) == "1"
         assert bad[0].position == 3
@@ -196,13 +200,13 @@ class TestZsigmondy:
         assert str(by_n[3].term) == "1"
         assert by_n[3].position == 2
         assert not zsigmondy_claimed(by_n[3])
-        assert zsigmondy_failures(reports) == []
+        assert claim_failures(reports) == []
 
     def test_include_excluded_widens_the_claim(self):
         params = mk("power", F2, "x+1", "x")
         reports = zsigmondy_check(params, 6)
-        assert zsigmondy_failures(reports) == []
-        bad = zsigmondy_failures(reports, include_excluded=True)
+        assert claim_failures(reports) == []
+        bad = claim_failures(reports, include_excluded=True)
         assert [r.n for r in bad] == [4, 6]
 
 
@@ -303,8 +307,9 @@ class TestCoprimalityLemmas:
 
     def test_coprime_pair_guards(self):
         lehmer = mk("lehmer", Q, "x", "1")
-        with pytest.raises(PreconditionViolated):
-            coprime_pair_check(lehmer, 4, 9)  # lehmer needs odd first index
+        # symmetric: one gcd table entry answers both orders
+        assert coprime_pair_check(lehmer, 4, 9) == coprime_pair_check(lehmer, 9, 4)
+        assert set(lehmer._gcd) == {(4, 9)}
         with pytest.raises(PreconditionViolated):
             coprime_pair_check(lehmer, 3, 9)  # not coprime
         power = mk("power", Q, "x+1", "x")

@@ -4,8 +4,8 @@ from hypothesis import strategies as st
 
 from seqdiv.coeff import PrimeField, Rationals
 from seqdiv.errors import UnsupportedField, ZeroArgument
+from seqdiv import factorization
 from seqdiv.factorization import (
-    DEFAULT_SEED,
     Factorization,
     factor_fp,
     is_irreducible_fp,
@@ -45,10 +45,12 @@ class TestFactorFp:
             assert f.lc() == 1
             assert is_irreducible_fp(f)
 
-    def test_deterministic_across_seeds_and_runs(self, f5):
+    def test_deterministic_across_seeds_and_runs(self, f5, monkeypatch):
         h = parse_poly(f5, "x^6+x^4+3*x^2+2*x+4")
-        assert factor_fp(h, seed=DEFAULT_SEED) == factor_fp(h, seed=99)
-        assert factor_fp(h) == factor_fp(h)
+        first = factor_fp(h)
+        assert factor_fp(h) == first
+        monkeypatch.setattr(factorization, "_DEFAULT_SEED", 99)
+        assert factor_fp(h) == first
 
     def test_char_p_power(self):
         f2 = PrimeField(2)
@@ -81,14 +83,16 @@ class TestFactorFp:
         ],
     )
     @pytest.mark.parametrize("seed", [None, 2, 3])
-    def test_splits_at_several_degrees(self, p, factors, expected, seed):
+    def test_splits_at_several_degrees(self, p, factors, expected, seed, monkeypatch):
         """The squarefree part splits at several degrees, and every equal-degree
         split takes its gcd against its own factor, not the ring's modulus."""
+        if seed is not None:
+            monkeypatch.setattr(factorization, "_DEFAULT_SEED", seed)
         field = PrimeField(p)
         h = Poly.one(field)
         for text in factors.split(", "):
             h = h * parse_poly(field, text)
-        assert str(factor_fp(h, seed=seed)) == expected
+        assert str(factor_fp(h)) == expected
 
     def test_rejects_zero(self, f5):
         with pytest.raises(ZeroArgument):
@@ -101,6 +105,16 @@ class TestFactorFp:
     def test_constant_input(self, f5):
         fact = factor_fp(parse_poly(f5, "3"))
         assert fact.unit == 3 and fact.factors == ()
+
+    def test_value_semantics(self, f5):
+        fact = factor_fp(parse_poly(f5, "2*x^2+2"))
+        assert repr(fact) == (
+            "Factorization(PrimeField(5), 2, ((Poly(PrimeField(5), [2, 1]), 1), "
+            "(Poly(PrimeField(5), [3, 1]), 1)))"
+        )
+        assert hash(fact) == hash(factor_fp(parse_poly(f5, "2*x^2+2")))
+        with pytest.raises(AttributeError):
+            fact.unit = 1
 
 
 class TestIrreducibility:
@@ -118,8 +132,18 @@ class TestIrreducibility:
     def test_known_cases(self, p, text, expect):
         assert is_irreducible_fp(parse_poly(PrimeField(p), text)) is expect
 
+    def test_rejects_rationals(self, rationals):
+        with pytest.raises(UnsupportedField):
+            is_irreducible_fp(parse_poly(rationals, "x^2+1"))
+
 
 class TestSquarefree:
+    @pytest.mark.parametrize("p", [0, 5])
+    def test_rejects_zero(self, p):
+        field = PrimeField(p) if p else Rationals()
+        with pytest.raises(ZeroArgument):
+            squarefree_decomp(Poly.zero(field))
+
     def test_yun_over_q(self, rationals):
         h = parse_poly(rationals, "x^3-x^2-x+1")  # (x-1)^2 (x+1)
         fact = squarefree_decomp(h)
@@ -146,6 +170,12 @@ class TestSquarefree:
 
 
 class TestLowDegreeFactorsQ:
+    def test_guards(self, rationals, f5):
+        with pytest.raises(UnsupportedField):
+            low_degree_factors_q(parse_poly(f5, "x^2+1"))
+        with pytest.raises(ZeroArgument):
+            low_degree_factors_q(Poly.zero(rationals))
+
     def test_linear_roots(self, rationals):
         h = parse_poly(rationals, "x^2-1")
         found = {str(f) for f in low_degree_factors_q(h)}

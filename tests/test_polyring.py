@@ -10,6 +10,7 @@ from seqdiv.errors import (
     FieldMismatch,
     NotDivisible,
     ParseError,
+    PreconditionViolated,
     ZeroArgument,
 )
 from seqdiv.polyring import (
@@ -52,6 +53,14 @@ class TestArithmetic:
     )
     def test_distributivity(self, a, b, c):
         assert a * (b + c) == a * b + a * c
+
+    def test_value_semantics(self, f5):
+        q = parse_poly(f5, "x+2")
+        assert repr(q) == "Poly(PrimeField(5), [2, 1])"
+        with pytest.raises(AttributeError):
+            q.coeffs = (1,)
+        with pytest.raises(TypeError, match="expected Poly"):
+            q._check(2)
 
     def test_degree_and_lc(self, f5):
         q = parse_poly(f5, "3*x^4+x+2")
@@ -201,6 +210,10 @@ class TestValuation:
     def test_valuation_of_zero_rejected(self, rationals):
         with pytest.raises(ZeroArgument):
             valuation(parse_poly(rationals, "x"), Poly.zero(rationals))
+
+    def test_valuation_by_a_constant_rejected(self, rationals):
+        with pytest.raises(PreconditionViolated):
+            valuation(parse_poly(rationals, "2"), parse_poly(rationals, "x^2"))
 
     @given(data=st.data(), field=st.sampled_from(FIELDS))
     def test_strip_power_removes_every_factor(self, data, field):

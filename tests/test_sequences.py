@@ -85,9 +85,10 @@ class TestValidate:
     def test_admits_and_caches(self, f5):
         params = mk("power", f5, "x+1", "x")
         assert params.kind is SeqKind.POWER
-        assert params.describe() == "power(a=x+1, b=x)"
-        assert params == mk("power", f5, "x+1", "x")
-        assert hash(params) == hash(mk("power", f5, "x+1", "x"))
+        assert repr(params) == (
+            "SeqParams('power', PrimeField(5), Poly(PrimeField(5), [1, 1]), "
+            "Poly(PrimeField(5), [0, 1]))"
+        )
 
 
 class TestTerm:

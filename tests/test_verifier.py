@@ -7,11 +7,12 @@ from seqdiv import verifier
 from seqdiv.cli import main
 from seqdiv.coeff import PRIME_BOUND, PrimeField, Rationals
 from seqdiv.errors import ConfigInvalid, OracleMismatch
-from seqdiv.polyring import parse_poly
+from seqdiv.polyring import Poly, parse_poly
 from seqdiv.sequences import SeqKind
 from seqdiv.verifier import (
     ALL_CHECKS,
     MAX_COUNT,
+    MAX_TERM_DEGREE,
     MAX_TERM_INDEX,
     CampaignConfig,
     Exhaustive,
@@ -131,6 +132,15 @@ class TestConfigValidation:
         with pytest.raises(ConfigInvalid, match=f"count must be at most {MAX_COUNT}, got 1001"):
             verifier.validate_config(config(enumeration=Random(count=MAX_COUNT + 1, seed=0)))
 
+    def test_random_needs_a_positive_degree(self):
+        # at degree 0 every draw is two constants, which validate() rejects
+        for field in (F5, Q):
+            cfg = config(field=field, max_param_degree=0, enumeration=Random(count=10, seed=0))
+            with pytest.raises(ConfigInvalid, match="needs max_param_degree >= 1, got 0"):
+                verifier.validate_config(cfg)
+        # an exhaustive walk at degree 0 is still allowed; it admits nothing
+        assert enumerate_params(config(field=F5, max_param_degree=0)) == ([], 4)
+
     def test_random_enumeration_beside_params_is_refused(self):
         pair = (parse_poly(Q, "x"), parse_poly(Q, "1"))
         explicit = dict(field=Q, kinds=(SeqKind.LUCAS,), params=(pair,))
@@ -164,6 +174,21 @@ class TestConfigValidation:
         # the other kinds compute no term beyond n_max
         lucas = dataclasses.replace(cfg, kinds=(SeqKind.LUCAS,))
         assert len(enumerate_params(lucas)[0]) == 1
+
+    @pytest.mark.parametrize("pairs", ["params = x^32+x+1,x", "max_param_degree = 32\n"
+                                       "enumeration = random:1:0"], ids=["params", "random"])
+    @pytest.mark.parametrize("m_max,degree", [(25, 4000), (26, 4160)])
+    def test_lehmer_term_degree_is_capped(self, pairs, m_max, degree):
+        # term(n_max * m_max) of a degree-32 pair has degree up to 32 n_max m_max
+        text = (f"field = q\nkinds = lehmer\nchecks = valuation_stability\n{pairs}\n"
+                f"n_max = 5\nm_max = {m_max}\n")
+        if degree <= MAX_TERM_DEGREE:
+            assert parse_config(text).m_max == m_max
+        else:
+            with pytest.raises(ConfigInvalid, match=f"term degree that n_max = 5 and m_max = "
+                               f"{m_max} reach at parameter degree 32 must be at most "
+                               f"{MAX_TERM_DEGREE}, got {degree}"):
+                parse_config(text)
 
 
 class TestEnumeration:
@@ -231,9 +256,10 @@ class TestEnumeration:
         assert rejected == 18
         assert len(draws) == 2 * 30  # 30 attempts: 6 admitted, 18 rejected, 6 repeats
 
-    def test_random_rejection_rate_refusal(self):
-        # at degree 0 both parameters are constants, so every draw is rejected
-        cfg = config(field=F5, max_param_degree=0, enumeration=Random(count=1, seed=0))
+    def test_random_rejection_rate_refusal(self, monkeypatch):
+        # a generator that draws only constants gets every pair rejected
+        monkeypatch.setattr(verifier, "_random_poly", lambda field, max_deg, rng: Poly.one(field))
+        cfg = config(field=F5, enumeration=Random(count=1, seed=0))
         with pytest.raises(ConfigInvalid, match="rejection rate"):
             enumerate_params(cfg)
 
