@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from .coeff import PrimeField, Rationals
 from .cyclokit import cyclotomic_form, power_sum_form, resultant
-from .divisibility import primitive_part, zsigmondy_check
+from .divisibility import matches_phi, primitive_part, zsigmondy_check
 from .errors import ConfigInvalid, SeqdivError, UnsupportedField
 from .factorization import factor_fp, factors_text, squarefree_decomp
 from .polyring import parse_poly
@@ -55,10 +55,6 @@ def _params_from_args(args):
     return validate(SeqKind(args.kind), field, a, b)
 
 
-def _bool(v):
-    return "true" if v else "false"
-
-
 def cmd_gen(args):
     if args.n < 1:
         raise ConfigInvalid("--n must be at least 1")
@@ -82,22 +78,29 @@ def cmd_gen(args):
     return 0
 
 
-def _report_line(r, primes):
-    line = (
-        f"n={r.n} term={r.term} primitive_part={r.primitive_part} "
-        f"has_primitive={_bool(r.has_primitive)} "
-        f"matches_phi={_bool(r.matches_phi)} excluded={_bool(r.excluded)}"
-    )
-    if primes is not None:
-        line += f" primitive_primes={factors_text(primes)}"
-    return line
-
-
-def _report_json(r, primes):
-    doc = r.to_json()
-    if primes is not None:
+def _report_doc(params, r):
+    """A report's output fields in order, for json.dumps and _report_line; over F_p with primes."""
+    doc = {
+        "n": r.n,
+        "term": str(r.term),
+        "primitive_part": str(r.primitive_part),
+        "has_primitive": r.has_primitive,
+        "matches_phi": matches_phi(params, r),
+        "excluded": r.excluded,
+    }
+    if params.field.char:
+        primes = factor_fp(r.primitive_part).factors
         doc["primitive_primes"] = [{"factor": str(f), "exp": e} for f, e in primes]
     return doc
+
+
+def _report_line(doc):
+    fields = []
+    for k, v in doc.items():
+        if k == "primitive_primes":
+            v = factors_text((q["factor"], q["exp"]) for q in v)
+        fields.append(f"{k}={json.dumps(v) if isinstance(v, bool) else v}")
+    return " ".join(fields)
 
 
 def cmd_primitive(args):
@@ -108,13 +111,12 @@ def cmd_primitive(args):
         reports = [primitive_part(params, args.n)]
     else:
         reports = zsigmondy_check(params, args.n_max)
-    primes = [factor_fp(r.primitive_part).factors if params.field.char else None for r in reports]
+    docs = [_report_doc(params, r) for r in reports]
     if args.json:
-        payload = [_report_json(r, ps) for r, ps in zip(reports, primes)]
-        print(json.dumps(payload[0] if args.n is not None else payload, indent=2))
+        print(json.dumps(docs[0] if args.n is not None else docs, indent=2))
     else:
-        for r, ps in zip(reports, primes):
-            print(_report_line(r, ps))
+        for doc in docs:
+            print(_report_line(doc))
     return 0
 
 

@@ -22,9 +22,7 @@ from .polyring import (
     Poly,
     _strip_power,
     exact_div,
-    format_poly,
     is_associated,
-    monic,
     poly_gcd,
     valuation,
 )
@@ -34,6 +32,8 @@ __all__ = [
     "PrimitiveReport",
     "strong_div_check",
     "primitive_part",
+    "phi_claimed",
+    "matches_phi",
     "zsigmondy_check",
     "zsigmondy_claimed",
     "valuation_stability_check",
@@ -59,18 +59,7 @@ class PrimitiveReport:
     term: Poly
     primitive_part: Poly
     has_primitive: bool
-    matches_phi: bool
     excluded: bool
-
-    def to_json(self):
-        return {
-            "n": self.n,
-            "term": format_poly(self.term),
-            "primitive_part": format_poly(self.primitive_part),
-            "has_primitive": self.has_primitive,
-            "matches_phi": self.matches_phi,
-            "excluded": self.excluded,
-        }
 
 
 def _term_gcd(params, m, n):
@@ -105,10 +94,8 @@ def primitive_part(params, n):
     For each earlier index m the gcd with term(m) is divided out repeatedly,
     so an irreducible occurring in any earlier term is removed with its full
     multiplicity while primitive irreducibles are never touched.  The
-    survivor (made monic) is the primitive part.  matches_phi holds when it
-    is associated to the n-th cyclotomic value; that comparison is defined
-    for n >= 3 at indices not divisible by the characteristic, and the flag
-    is false elsewhere.
+    survivor (made monic) is the primitive part.  The cyclotomic value it
+    is compared with is matches_phi's to compute, never this function's.
 
     The divisor for m is the gcd table's G = gcd(term(m), term(n)) when the
     table holds it (filled by strong_div_check or coprime_pair_check), else
@@ -135,12 +122,7 @@ def primitive_part(params, n):
             if g.is_unit():
                 break
             b = exact_div(b, g)
-    b = monic(b)
-    has_primitive = not b.is_unit()
-    if excluded or n < 3:
-        matches_phi = False
-    else:
-        matches_phi = b == monic(cyclotomic_value(params, n))
+    b = b.monic()
     if excluded:
         position = None
     elif p:
@@ -152,10 +134,21 @@ def primitive_part(params, n):
         position=position,
         term=t,
         primitive_part=b,
-        has_primitive=has_primitive,
-        matches_phi=matches_phi,
+        has_primitive=not b.is_unit(),
         excluded=excluded,
     )
+
+
+def phi_claimed(report):
+    """Whether the cyclotomic description is claimed: n >= 3, prime to the characteristic."""
+    return report.n >= 3 and not report.excluded
+
+
+def matches_phi(params, report):
+    """Where phi_claimed, whether the primitive part is the monic n-th cyclotomic value."""
+    if not phi_claimed(report):
+        return False
+    return report.primitive_part == cyclotomic_value(params, report.n).monic()
 
 
 def zsigmondy_check(params, n_max):

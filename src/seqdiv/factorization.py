@@ -76,23 +76,6 @@ class Factorization:
             acc = acc * f**e
         return acc
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Factorization)
-            and other.field == self.field
-            and other.unit == self.unit
-            and other.factors == self.factors
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.unit, self.factors))
-
-    def __iter__(self):
-        return iter(self.factors)
-
-    def __repr__(self):
-        return f"Factorization({self.field!r}, {self.unit!r}, {self.factors!r})"
-
     def __str__(self):
         unit = str(self.unit) if self.unit != 1 or not self.factors else ""
         return unit + factors_text(self.factors)

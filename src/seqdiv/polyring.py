@@ -18,8 +18,9 @@ a over Q exactly when it does over Z, so the first quotient coefficient that
 is not an integer proves that b does not divide a; the heuristic gcd
 (``_heu_gcd_z``) accepts its candidate only after two exact divisions, and
 when it gives up (or an argument is zero) ``_gcd_raw`` runs Euclid on the
-remainders of ``_divrem_raw``, as over F_p with p > 13.  ``divmod`` keeps
-the Q arithmetic of ``_divrem_raw``.
+remainders of ``_divrem_raw``, as over F_p with p > 13.  ``divmod`` is the
+one quotient-and-remainder operator of ``Poly`` (it has no ``//`` or ``%``);
+it runs ``_divrem_raw`` over Q as well, and no campaign calls it.
 
 Over F_p with p <= 13 the Euclidean loop of ``_gcd_raw`` runs on
 byte-packed ints, one coefficient per byte: a division step adds at most
@@ -58,9 +59,7 @@ __all__ = [
     "Poly",
     "exact_div",
     "poly_gcd",
-    "monic",
     "is_associated",
-    "ideals_coprime",
     "valuation",
     "parse_poly",
     "MAX_EXPONENT",
@@ -422,16 +421,6 @@ class Poly:
         q, r = _divrem_raw(list(self.coeffs), list(other.coeffs), self.field)
         return Poly._make(self.field, q), Poly._make(self.field, r)
 
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
-    def __call__(self, v):
-        """Evaluate by Horner's rule at a raw scalar."""
-        return _reduce([_horner(self.coeffs, self.field.normalize(v))], self.field)[0]
-
     def derivative(self):
         out = [c * k for k, c in enumerate(self.coeffs)][1:]
         return Poly._make(self.field, _reduce(out, self.field))
@@ -471,18 +460,9 @@ def poly_gcd(a, b):
     return Poly._make(a.field, _gcd_raw(a.coeffs, b.coeffs, a.field))
 
 
-def monic(a):
-    return a.monic()
-
-
 def is_associated(a, b):
     """True when a and b differ by a nonzero constant factor."""
     return a.monic() == b.monic()
-
-
-def ideals_coprime(a, b):
-    """True when the ideals generated by a and b sum to the whole ring."""
-    return poly_gcd(a, b).is_unit()
 
 
 def valuation(q, h):

@@ -22,13 +22,13 @@ from .errors import (
     BothUnits,
     FieldMismatch,
     NotCoprime,
+    NotDivisible,
     OracleMismatch,
     PreconditionViolated,
     RatioRootOfUnity,
     ZeroParameter,
 )
-from .polyring import Poly, exact_div, ideals_coprime, is_associated
-from .errors import NotDivisible
+from .polyring import Poly, exact_div, is_associated, poly_gcd
 
 __all__ = [
     "SeqKind",
@@ -106,7 +106,7 @@ def validate(kind, field, a, b):
             )
         if a == b or a == -b:
             raise RatioRootOfUnity("a = c*b with c in {1, -1}")
-    if not ideals_coprime(a, b):
+    if not poly_gcd(a, b).is_unit():
         raise NotCoprime(f"gcd({a}, {b}) is not a unit")
     if a.is_unit() and b.is_unit():
         raise BothUnits("both parameters are constants; all terms would be units")

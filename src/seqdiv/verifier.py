@@ -20,6 +20,8 @@ from .coeff import PrimeField, Rationals
 from .divisibility import (
     coprime_pair_check,
     index_scaled_coprime_check,
+    matches_phi,
+    phi_claimed,
     primitive_parts_factored,
     strong_div_check,
     sum_square_coprime_check,
@@ -50,6 +52,7 @@ __all__ = [
     "load_config",
     "render_report",
 ]
+
 
 @dataclass(frozen=True)
 class Exhaustive:
@@ -381,9 +384,9 @@ def _run_zsigmondy(params, config, ctx):
 
 def _run_phi_match(params, config, ctx):
     for r in _reports(params, config, ctx):
-        if r.n < 3 or r.excluded:
+        if not phi_claimed(r):
             continue
-        ok = r.matches_phi
+        ok = matches_phi(params, r)
         detail = ""
         if not ok:
             detail = (

@@ -3,10 +3,13 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from conftest import poly_strategy
+from seqdiv import divisibility
 from seqdiv.coeff import PrimeField, Rationals
 from seqdiv.divisibility import (
     coprime_pair_check,
     index_scaled_coprime_check,
+    matches_phi,
+    phi_claimed,
     primitive_part,
     primitive_parts_factored,
     strong_div_check,
@@ -18,8 +21,9 @@ from seqdiv.divisibility import (
 )
 from seqdiv.errors import PreconditionViolated, UnsupportedField, ValidationError
 from seqdiv.factorization import factor_fp
-from seqdiv.polyring import Poly, is_associated, monic, parse_poly, poly_gcd, valuation
+from seqdiv.polyring import Poly, is_associated, parse_poly, poly_gcd, valuation
 from seqdiv.sequences import SeqKind, term, validate
+from seqdiv.verifier import CampaignConfig, run_campaign
 
 Q = Rationals()
 F2 = PrimeField(2)
@@ -42,13 +46,13 @@ class TestStrongDivisibility:
         assert strong_div_check(params, 4, 6)
         # and the underlying identity: gcd(L_4, L_6) ~ L_2 = x
         g = poly_gcd(term(params, 4), term(params, 6))
-        assert str(monic(g)) == "x"
+        assert str(g.monic()) == "x"
 
     def test_lehmer_frozen(self):
         params = mk("lehmer", Q, "x", "1")
         assert strong_div_check(params, 3, 6)
         g = poly_gcd(term(params, 3), term(params, 6))
-        assert str(monic(g)) == "x-1"
+        assert str(g.monic()) == "x-1"
 
     @pytest.mark.parametrize("kind", ["power", "lucas", "lehmer"])
     def test_small_grid(self, kind):
@@ -86,7 +90,7 @@ class TestPrimitivePart:
         rep = primitive_part(params, 3)
         assert str(rep.term) == "3*x^2+3*x+1"
         assert str(rep.primitive_part) == "x^2+x+1/3"
-        assert rep.has_primitive and rep.matches_phi and not rep.excluded
+        assert rep.has_primitive and matches_phi(params, rep) and not rep.excluded
         assert rep.position == 3
 
     def test_rejects_index_zero(self):
@@ -97,7 +101,7 @@ class TestPrimitivePart:
         params = mk("lucas", Q, "x", "1")
         rep = primitive_part(params, 6)
         assert str(rep.primitive_part) == "x^2-3"
-        assert rep.has_primitive and rep.matches_phi
+        assert rep.has_primitive and matches_phi(params, rep)
 
     def test_excluded_index(self):
         params = mk("power", F3, "x+1", "x")
@@ -105,17 +109,22 @@ class TestPrimitivePart:
         assert rep.excluded
         assert rep.position is None
         assert str(rep.term) == "1"
-        assert not rep.has_primitive and not rep.matches_phi
+        assert not rep.has_primitive and not matches_phi(params, rep)
 
     def test_position_counts_surviving_indices(self):
         params = mk("power", F3, "x+1", "x")
         positions = [primitive_part(params, n).position for n in range(1, 8)]
         assert positions == [1, 2, None, 3, 4, None, 5]
 
+    def test_phi_is_claimed_from_3_at_indices_prime_to_p(self):
+        params = mk("power", F3, "x+1", "x")
+        claimed = [phi_claimed(primitive_part(params, n)) for n in range(1, 8)]
+        assert claimed == [False, False, False, True, True, False, True]
+
     def test_low_indices_never_match_phi(self):
         params = mk("lucas", Q, "x", "1")
-        assert not primitive_part(params, 1).matches_phi
-        assert not primitive_part(params, 2).matches_phi
+        assert not matches_phi(params, primitive_part(params, 1))
+        assert not matches_phi(params, primitive_part(params, 2))
 
 
 class TestPhiMatch:
@@ -132,7 +141,7 @@ class TestPhiMatch:
     def test_primitive_part_is_cyclotomic_value(self, kind, field, a, b):
         params = mk(kind, field, a, b)
         reports = zsigmondy_check(params, 12)
-        assert all(r.matches_phi for r in reports if r.n >= 3 and not r.excluded)
+        assert all(matches_phi(params, r) for r in reports if r.n >= 3 and not r.excluded)
 
     def test_match_holds_even_when_part_is_trivial(self):
         # when the primitive part collapses to a unit the cyclotomic value
@@ -141,7 +150,34 @@ class TestPhiMatch:
         rep = primitive_part(params, 3)
         assert str(rep.term) == "1"
         assert not rep.has_primitive
-        assert rep.matches_phi
+        assert matches_phi(params, rep)
+
+    def test_stripping_computes_no_cyclotomic_value(self, monkeypatch):
+        """The cyclotomic value is the phi check's oracle: primitive_part,
+        zsigmondy_check and the factorization oracle never compute it."""
+
+        def poisoned(params, n):
+            raise AssertionError(f"cyclotomic_value({n}) called")
+
+        monkeypatch.setattr(divisibility, "cyclotomic_value", poisoned)
+        params = mk("power", F5, "x^2+1", "x")
+        assert primitive_part(params, 6).has_primitive
+        assert len(zsigmondy_check(params, 12)) == 12
+        report = run_campaign(
+            CampaignConfig(
+                field=F5,
+                kinds=(SeqKind.POWER,),
+                max_param_degree=2,
+                enumeration=None,
+                n_max=12,
+                m_max=12,
+                checks=("oracle_equivalence",),
+                params=((params.a, params.b),),
+            )
+        )
+        assert report.ok and report.cases_run == 12
+        with pytest.raises(AssertionError, match="called"):
+            matches_phi(params, primitive_part(params, 6))
 
 
 class TestZsigmondy:
@@ -409,7 +445,7 @@ class TestGcdTable:
         assert coprime_pair_check(params, 3, 2)
         assert strong_div_check(params, 6, 4)
         assert set(params._gcd) == {(2, 3), (4, 6)}
-        assert params._gcd[(4, 6)] == monic(poly_gcd(term(params, 4), term(params, 6)))
+        assert params._gcd[(4, 6)] == poly_gcd(term(params, 4), term(params, 6)).monic()
 
 
 class TestTermDivisors:

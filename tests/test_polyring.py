@@ -21,9 +21,7 @@ from seqdiv.polyring import (
     _strip_power,
     exact_div,
     format_poly,
-    ideals_coprime,
     is_associated,
-    monic,
     parse_poly,
     poly_gcd,
     valuation,
@@ -86,9 +84,9 @@ class TestArithmetic:
         assert 3 - parse_poly(f5, "x+1") == parse_poly(f5, "4*x+2")
         assert Fraction(1, 2) - parse_poly(rationals, "x") == parse_poly(rationals, "-x+1/2")
 
-    def test_floor_division(self, f5):
+    def test_divmod(self, f5):
         p, q = parse_poly(f5, "x^3+2*x+1"), parse_poly(f5, "x+1")
-        assert p // q == divmod(p, q)[0] == parse_poly(f5, "x^2+4*x+3")
+        assert divmod(p, q) == (parse_poly(f5, "x^2+4*x+3"), parse_poly(f5, "3"))
 
     @pytest.mark.parametrize("other", ["x", 1.5, None])
     def test_foreign_operand_is_a_type_error(self, f5, other):
@@ -155,7 +153,7 @@ class TestGcd:
         if a.is_zero() and b.is_zero():
             return
         g = poly_gcd(a, b)
-        assert monic(g) == g
+        assert g.monic() == g
         for h in (a, b):
             if not h.is_zero():
                 _, r = divmod(h, g)
@@ -168,11 +166,11 @@ class TestGcd:
     )
     def test_gcd_respects_common_factor(self, a, b, c):
         # gcd(ac, bc) = gcd(a,b) * c up to units
-        assert poly_gcd(a * c, b * c) == monic(poly_gcd(a, b) * c)
+        assert poly_gcd(a * c, b * c) == (poly_gcd(a, b) * c).monic()
 
     def test_gcd_with_zero(self, f5):
         q = parse_poly(f5, "2*x+2")
-        assert poly_gcd(q, Poly.zero(f5)) == monic(q)
+        assert poly_gcd(q, Poly.zero(f5)) == q.monic()
         assert poly_gcd(Poly.zero(f5), Poly.zero(f5)).is_zero()
 
     def test_frozen_gcd(self, rationals):
@@ -184,7 +182,7 @@ class TestGcd:
 class TestNormalForms:
     def test_monic_and_associates(self, f5):
         q = parse_poly(f5, "2*x+2")
-        assert format_poly(monic(q)) == "x+1"
+        assert format_poly(q.monic()) == "x+1"
         assert is_associated(q, parse_poly(f5, "3*x+3"))
         assert not is_associated(q, parse_poly(f5, "x+2"))
 
@@ -195,8 +193,8 @@ class TestNormalForms:
 
     def test_ideals_coprime(self, rationals):
         x = parse_poly(rationals, "x")
-        assert ideals_coprime(x, parse_poly(rationals, "x+1"))
-        assert not ideals_coprime(x, parse_poly(rationals, "x^2+x"))
+        assert poly_gcd(x, parse_poly(rationals, "x+1")).is_unit()
+        assert not poly_gcd(x, parse_poly(rationals, "x^2+x")).is_unit()
 
 
 class TestValuation:
@@ -221,7 +219,7 @@ class TestValuation:
         h = data.draw(poly_strategy(field, max_degree=3, nonzero=True))
         k = data.draw(st.integers(0, 3))
         e, rest = _strip_power(q, h * q**k)
-        assert e >= k and rest * q**e == h * q**k and not (rest % q).is_zero()
+        assert e >= k and rest * q**e == h * q**k and not divmod(rest, q)[1].is_zero()
 
     @pytest.mark.parametrize("field", FIELDS)
     def test_strip_power_of_zero(self, field):

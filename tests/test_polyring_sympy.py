@@ -87,7 +87,8 @@ def test_kernel_matches_sympy(field, data):
     same(a - b, sa - sb)
     same(b - a, sb - sa)
     same(a * b, sa * sb)
-    value = a(3)
+    value = polyring._horner(a.coeffs, 3)
+    value = value % field.p if field.char else value
     assert value == scalar(sa.eval(3), field)
     assert type(value) in (int, Fraction)
 

@@ -5,6 +5,11 @@ __all__ counts as used when another module imports it, or when its own
 module refers to it outside its definition (a type or helper that the
 module's other public functions are built from).  The acceptance checks and
 references the tests compare against have no caller in src and are listed.
+
+The same holds one level down, for the classes named in an __all__: each
+public method is an attribute that src reads outside the method itself, or
+a listed test reference, and each class defines exactly the dunder methods
+of a table that says why each one is there.
 """
 
 import ast
@@ -23,6 +28,57 @@ TEST_ONLY = {
     ("cyclokit", "eval_form"),
     ("cyclokit", "euler_phi"),
     ("factorization", "is_irreducible_fp"),
+}
+
+# class members called from the tests only: (module, class, method)
+TEST_ONLY_MEMBERS = {("factorization", "Factorization", "expand")}
+
+_INIT = "constructor"
+_FROZEN = "immutability"
+_CRITERIA_1_3 = "test reference: the form arithmetic of criteria 1-3"
+_TRACED = "wrapped by bench/tracer.py"
+
+# every dunder method a public class defines, and why
+DUNDERS = {
+    ("cyclokit", "BivarForm"): {
+        "__init__": _INIT,
+        "__setattr__": _FROZEN,
+        "__eq__": _CRITERIA_1_3,
+        "__hash__": "the partner of __eq__; tests/test_cyclokit.py pins it",
+        "__add__": "BivarForm.__sub__, and " + _CRITERIA_1_3,
+        "__neg__": "BivarForm.__sub__",
+        "__sub__": _CRITERIA_1_3,
+        "__mul__": _CRITERIA_1_3,
+        "__repr__": "test reference: tests/test_cyclokit.py pins it",
+        "__str__": "seq cyclo prints a form",
+    },
+    ("factorization", "Factorization"): {
+        "__init__": _INIT,
+        "__setattr__": _FROZEN,
+        "__str__": "seq factor prints a factorization",
+    },
+    ("polyring", "Poly"): {
+        "__init__": _INIT,
+        "__setattr__": _FROZEN,
+        "__add__": "the tower steps of oracle_term",
+        "__radd__": _TRACED,
+        "__neg__": "the tower steps, validate",
+        "__sub__": "term",
+        "__rsub__": _TRACED,
+        "__mul__": "term, cyclotomic_value, the tower steps",
+        "__rmul__": _TRACED,
+        "__pow__": "test reference: Factorization.expand and the tests' products",
+        "__divmod__": _TRACED + "; the tests' division with remainder",
+        "__eq__": "is_associated, validate, matches_phi, oracle_equivalence",
+        "__hash__": "the partner of __eq__; hypothesis hashes drawn Poly values",
+        "__bool__": "the gcd-table lookup of primitive_part, the tower solve",
+        "__repr__": "test reference: tests/test_polyring.py pins it",
+        "__str__": "every printed polynomial",
+    },
+    ("sequences", "SeqParams"): {
+        "__init__": _INIT,
+        "__repr__": "test reference: tests/test_sequences.py pins it",
+    },
 }
 
 
@@ -65,8 +121,41 @@ def _uses():
     return used
 
 
+def _methods(cls):
+    """The method definitions of a class body, and its dunder aliases (``__radd__ = __add__``)."""
+    for node in cls.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node
+        elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Name):
+            for t in node.targets:
+                if isinstance(t, ast.Name) and t.id.startswith("__"):
+                    yield t.id, node
+
+
+def _attribute_reads(name, outside):
+    """Whether some module of the package reads attribute name outside the node outside."""
+    inside = {id(n) for n in ast.walk(outside)}
+    return any(
+        isinstance(n, ast.Attribute) and n.attr == name and id(n) not in inside
+        for tree in MODULES.values()
+        for n in ast.walk(tree)
+    )
+
+
 PUBLIC = [(mod, name) for mod, tree in sorted(MODULES.items()) for name in _public(tree)]
 USED = _uses()
+CLASSES = {
+    (mod, node.name): node
+    for mod, tree in MODULES.items()
+    for node in tree.body
+    if isinstance(node, ast.ClassDef) and node.name in _public(tree)
+}
+MEMBERS = [
+    (mod, cls, name)
+    for (mod, cls), node in sorted(CLASSES.items())
+    for name, _ in _methods(node)
+    if not name.startswith("_")
+]
 
 
 def test_package_root_defines_only_the_version():
@@ -87,3 +176,25 @@ def test_public_name_has_a_caller(mod, name):
         assert (mod, name) not in USED, "a listed name gained a caller: drop it from the list"
     else:
         assert (mod, name) in USED
+
+
+@pytest.mark.parametrize("mod,cls,name", MEMBERS, ids=[".".join(m) for m in MEMBERS])
+def test_public_method_has_a_caller(mod, cls, name):
+    definition = dict(_methods(CLASSES[mod, cls]))[name]
+    used = _attribute_reads(name, definition)
+    if (mod, cls, name) in TEST_ONLY_MEMBERS:
+        assert not used, "a listed member gained a caller: drop it from the list"
+    else:
+        assert used
+
+
+@pytest.mark.parametrize("mod,cls", sorted(CLASSES), ids=[".".join(c) for c in sorted(CLASSES)])
+def test_dunder_methods_are_the_pinned_ones(mod, cls):
+    defined = {name for name, _ in _methods(CLASSES[mod, cls]) if name.startswith("__")}
+    assert defined == set(DUNDERS.get((mod, cls), {}))
+
+
+def test_every_listed_member_exists():
+    assert set(DUNDERS) <= set(CLASSES)
+    for mod, cls, name in TEST_ONLY_MEMBERS:
+        assert name in dict(_methods(CLASSES[mod, cls]))
