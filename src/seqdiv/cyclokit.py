@@ -306,5 +306,5 @@ def eval_form(a, u, v):
     acc = Poly.zero(field)
     for k, c in enumerate(a.coeffs):
         if c:
-            acc = acc + u_pows[d - k] * v_pows[k] * Poly.const(field, c)
+            acc = acc + u_pows[d - k] * v_pows[k] * Poly(field, [c])
     return acc

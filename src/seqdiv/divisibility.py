@@ -14,7 +14,6 @@ independent factorization-based construction is provided as a cross-check.
 
 from dataclasses import dataclass
 from math import gcd as int_gcd
-from typing import Optional
 
 from .errors import PreconditionViolated, UnsupportedField
 from .factorization import factor_fp, low_degree_factors_q
@@ -47,19 +46,32 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PrimitiveReport:
-    """Primitive-divisor data for a single index.
-
-    position is the index of n inside the subsequence that survives deleting
-    the indices divisible by the characteristic (equal to n over Q); it is
-    None when n itself is deleted.
-    """
+    """Primitive-divisor data for a single index: what stripping computed,
+    and the facts that follow from n, the field and the primitive part."""
 
     n: int
-    position: Optional[int]
     term: Poly
     primitive_part: Poly
-    has_primitive: bool
-    excluded: bool
+
+    @property
+    def has_primitive(self):
+        """Whether the primitive part is not a unit."""
+        return not self.primitive_part.is_unit()
+
+    @property
+    def excluded(self):
+        """Whether the characteristic divides n."""
+        p = self.term.field.char
+        return bool(p) and self.n % p == 0
+
+    @property
+    def position(self):
+        """The index of n inside the subsequence that survives deleting the
+        indices divisible by the characteristic (n over Q); None when n is deleted."""
+        if self.excluded:
+            return None
+        p = self.term.field.char
+        return self.n - self.n // p if p else self.n
 
 
 def _term_gcd(params, m, n):
@@ -107,8 +119,6 @@ def primitive_part(params, n):
     """
     if n < 1:
         raise PreconditionViolated("index must be positive")
-    p = params.field.char
-    excluded = bool(p) and n % p == 0
     t = term(params, n)
     b = t
     stripped = set()
@@ -122,21 +132,7 @@ def primitive_part(params, n):
             if g.is_unit():
                 break
             b = exact_div(b, g)
-    b = b.monic()
-    if excluded:
-        position = None
-    elif p:
-        position = n - n // p
-    else:
-        position = n
-    return PrimitiveReport(
-        n=n,
-        position=position,
-        term=t,
-        primitive_part=b,
-        has_primitive=not b.is_unit(),
-        excluded=excluded,
-    )
+    return PrimitiveReport(n, t, b.monic())
 
 
 def phi_claimed(report):

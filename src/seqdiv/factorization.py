@@ -71,7 +71,7 @@ class Factorization:
         raise AttributeError("Factorization is immutable")
 
     def expand(self):
-        acc = Poly.const(self.field, self.unit)
+        acc = Poly(self.field, [self.unit])
         for f, e in self.factors:
             acc = acc * f**e
         return acc
@@ -168,7 +168,7 @@ def _sqf(f):
             g = poly_gcd(f, df)
             h = exact_div(f, g)
             i = 1
-            while not h.is_one():
+            while not h.is_unit():
                 gh = poly_gcd(g, h)
                 part = exact_div(h, gh)
                 if part.degree > 0:
@@ -176,7 +176,7 @@ def _sqf(f):
                 g = exact_div(g, gh)
                 h = gh
                 i += 1
-            if g.is_one():
+            if g.is_unit():
                 return out
             f = g
         f = Poly._make(f.field, list(f.coeffs[::p]))
@@ -242,18 +242,15 @@ def factor_fp(h):
         raise UnsupportedField("full factorization is implemented over F_p only")
     if h.is_zero():
         raise ZeroArgument("cannot factor the zero polynomial")
-    unit = h.lc()
-    f = h.monic()
-    if f.degree < 1:
-        return Factorization(h.field, unit, ())
+    sqf = squarefree_decomp(h)
     rng = random.Random(_DEFAULT_SEED)
     factors = []
-    for part, mult in _sqf(f):
+    for part, mult in sqf.factors:
         ring = _QuotientRing(part.coeffs, h.field.p)
         for prod, d in _ddf(list(part.coeffs), ring, h.field):
             for q in _edf(prod, d, ring, rng, h.field):
                 factors.append((Poly._make(h.field, q), mult))
-    return Factorization(h.field, unit, factors)
+    return Factorization(h.field, sqf.unit, factors)
 
 
 def is_irreducible_fp(h):
@@ -303,7 +300,7 @@ def low_degree_factors_q(h):
     c = _int_form(exact_div(h, poly_gcd(h, h.derivative())).coeffs)[0]
     found = []
     if c[0] == 0:
-        found.append(Poly.x(h.field))
+        found.append(Poly(h.field, [0, 1]))
         c = c[1:]
 
     linear = []

@@ -33,7 +33,7 @@ shorter F_p operand has 2-5 coefficients, too few for a packed step to pay.
 The integer forms of ``cyclokit`` and the rational divisor search share its
 exact quotient over Z (``_exact_quotient_z``) and its primitive integer form;
 ``_strip_power`` and the signed-sum text ``_format_terms`` also have no other
-copy.
+copy.  ``str(p)`` is the one canonical text of a Poly; ``parse_poly`` reads it back.
 
 Units of K[x] are the nonzero constants; two polynomials are associated
 exactly when their monic normalizations coincide, and ideals are identified
@@ -323,14 +323,6 @@ class Poly:
     def one(cls, field):
         return cls._make(field, [1])
 
-    @classmethod
-    def x(cls, field):
-        return cls._make(field, [0, 1])
-
-    @classmethod
-    def const(cls, field, v):
-        return cls._make(field, [field.normalize(v)])
-
     @property
     def degree(self):
         """Degree, with -1 for the zero polynomial."""
@@ -341,9 +333,6 @@ class Poly:
 
     def is_unit(self):
         return len(self.coeffs) == 1
-
-    def is_one(self):
-        return len(self.coeffs) == 1 and self.coeffs[0] == 1
 
     def lc(self):
         return self.coeffs[-1] if self.coeffs else 0
@@ -365,7 +354,7 @@ class Poly:
             self._check(other)
             return other
         if isinstance(other, (int, Fraction)):
-            return Poly.const(self.field, other)
+            return Poly(self.field, [other])
         return None
 
     def __add__(self, other):
@@ -442,7 +431,9 @@ class Poly:
         return f"Poly({self.field!r}, {list(self.coeffs)!r})"
 
     def __str__(self):
-        return format_poly(self)
+        """Canonical expression string: descending powers, explicit '*', reduced scalars."""
+        cs = self.coeffs
+        return _format_terms((cs[k], (("x", k),)) for k in range(len(cs) - 1, -1, -1))
 
 
 def exact_div(a, b):
@@ -501,7 +492,7 @@ def _strip_power(q, h):
 
 # --- text syntax ------------------------------------------------------------
 #
-# expr  := term (('+'|'-') term)*
+# expr  := ('+'|'-')? term (('+'|'-') term)*
 # term  := coef ('*'? 'x' ('^' uint)?)? | 'x' ('^' uint)?
 # coef  := int | int '/' uint
 #
@@ -511,9 +502,8 @@ def _strip_power(q, h):
 
 MAX_EXPONENT = 10_000
 
-_TERM_RE = re.compile(
-    r"^(?P<coef>[0-9]+(?:/[0-9]+)?)?(?P<star>\*)?(?:x(?:\^(?P<exp>[0-9]+))?)?$"
-)
+# one term of the grammar, its sign split off; '^' only after an x
+_TERM_RE = re.compile(r"(?:(?P<coef>[0-9]+(?:/[0-9]+)?)(?:\*?x)?|x)(?:(?<=x)\^(?P<exp>[0-9]+))?")
 
 
 def parse_poly(field, text):
@@ -522,39 +512,23 @@ def parse_poly(field, text):
     if not s:
         raise ParseError("empty polynomial expression")
     coeffs = {}
-    pos = 0
-    sign = 1
-    if s[0] in "+-":
-        sign = -1 if s[0] == "-" else 1
-        pos = 1
-    while pos <= len(s):
-        nxt = pos
-        while nxt < len(s) and s[nxt] not in "+-":
-            nxt += 1
-        chunk = s[pos:nxt]
-        m = _TERM_RE.match(chunk)
-        if not m or not chunk:
-            raise ParseError(f"bad term {chunk!r} in {text!r}")
-        coef_txt, star = m.group("coef"), m.group("star")
-        has_x = "x" in chunk
-        if coef_txt is None and not has_x:
-            raise ParseError(f"bad term {chunk!r} in {text!r}")
-        if star and (coef_txt is None or not has_x):
-            raise ParseError(f"bad term {chunk!r} in {text!r}")
-        c = field.parse_scalar(coef_txt) if coef_txt is not None else 1
+    chunks = re.split(r"(?!^)(?=[+-])", s)  # each term with its sign
+    for i, chunk in enumerate(chunks):
+        sign = -1 if chunk[0] == "-" else 1
+        body = chunk[1:] if chunk[0] in "+-" else chunk
+        if not body and 0 < i == len(chunks) - 1:
+            raise ParseError(f"dangling sign in {text!r}")
+        m = _TERM_RE.fullmatch(body)
+        if not m:
+            raise ParseError(f"bad term {body!r} in {text!r}")
+        c = 1 if m["coef"] is None else field.parse_scalar(m["coef"])
         e = 0
-        if has_x:
-            digits = (m.group("exp") or "1").lstrip("0") or "0"
+        if "x" in body:
+            digits = (m["exp"] or "1").lstrip("0") or "0"
             if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
-                raise ParseError(f"exponent in {chunk!r} exceeds {MAX_EXPONENT}")
+                raise ParseError(f"exponent in {body!r} exceeds {MAX_EXPONENT}")
             e = int(digits)
         coeffs[e] = coeffs.get(e, 0) + sign * c
-        if nxt >= len(s):
-            break
-        if nxt == len(s) - 1:
-            raise ParseError(f"dangling sign in {text!r}")
-        sign = -1 if s[nxt] == "-" else 1
-        pos = nxt + 1
     return Poly(field, [coeffs.get(e, 0) for e in range(max(coeffs) + 1)])
 
 
@@ -574,8 +548,3 @@ def _format_terms(terms):
             factors.insert(0, str(mag))
         out.append(("-" if c < 0 else "+" if out else "") + "*".join(factors))
     return "".join(out) or "0"
-
-
-def format_poly(a):
-    """Canonical expression string: descending powers, explicit '*', reduced scalars."""
-    return _format_terms((a.coeffs[k], (("x", k),)) for k in range(len(a.coeffs) - 1, -1, -1))

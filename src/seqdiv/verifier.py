@@ -11,7 +11,7 @@ import json
 import random
 import re
 import time
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from itertools import product
 from math import gcd as int_gcd
 from typing import Optional
@@ -31,7 +31,7 @@ from .divisibility import (
     zsigmondy_claimed,
 )
 from .errors import ConfigInvalid, NotPrime, OracleMismatch, ParseError, ValidationError
-from .polyring import Poly, format_poly, parse_poly, poly_gcd
+from .polyring import Poly, parse_poly, poly_gcd
 from .sequences import SeqKind, cyclotomic_value, oracle_term, term, validate
 
 __all__ = [
@@ -41,6 +41,7 @@ __all__ = [
     "MAX_TERM_INDEX",
     "MAX_TERM_DEGREE",
     "MAX_COUNT",
+    "MAX_CONFIG_BYTES",
     "Exhaustive",
     "Random",
     "CampaignConfig",
@@ -103,7 +104,7 @@ class CampaignConfig:
             "include_excluded": self.include_excluded,
         }
         if self.params is not None:
-            doc["params"] = [[format_poly(a), format_poly(b)] for a, b in self.params]
+            doc["params"] = [[str(a), str(b)] for a, b in self.params]
         return doc
 
 
@@ -123,14 +124,7 @@ class Failure:
     detail: str
 
     def to_json(self):
-        return {
-            "kind": self.kind,
-            "a": self.a,
-            "b": self.b,
-            "check": self.check,
-            "indices": dict(self.indices),
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -148,15 +142,10 @@ class VerifyReport:
         return not self.failures
 
     def to_json(self):
-        return {
-            "config": self.config.to_json(),
-            "params_admitted": self.params_admitted,
-            "params_rejected": self.params_rejected,
-            "cases_run": self.cases_run,
-            "cases_passed": self.cases_passed,
-            "failures": [f.to_json() for f in self.failures],
-            "wall_time": self.wall_time,
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc["config"] = self.config.to_json()
+        doc["failures"] = [f.to_json() for f in self.failures]
+        return doc
 
 
 # Caps on the size of a campaign.  MAX_INDEX also caps every index flag of
@@ -254,6 +243,8 @@ def validate_config(config):
         if config.enumeration.count < 1:
             raise ConfigInvalid("random enumeration needs count >= 1")
         _at_most("count", config.enumeration.count, MAX_COUNT)
+        if config.enumeration.seed < 0:  # random.Random would seed with its absolute value
+            raise ConfigInvalid(f"seed must be >= 0, got {config.enumeration.seed}")
         if config.max_param_degree == 0:  # every draw would be two constants
             raise ConfigInvalid("random enumeration needs max_param_degree >= 1, got 0")
     else:
@@ -402,7 +393,7 @@ def _run_valuation_stability(params, config, ctx):
     p = params.field.char
     for n in range(3, config.n_max + 1):
         for q in term_divisors(params, n):
-            q_text = format_poly(q)
+            q_text = str(q)
             for m in range(1, config.m_max + 1):
                 if p and m % p == 0:
                     continue
@@ -487,7 +478,7 @@ def run_campaign(config):
     try:
         for params in params_list:
             ctx = {}
-            a_text, b_text = format_poly(params.a), format_poly(params.b)
+            a_text, b_text = str(params.a), str(params.b)
             for check in config.checks:
                 for indices, ok, detail in _RUNNERS[check](params, config, ctx):
                     cases_run += 1
@@ -607,25 +598,25 @@ def parse_config(text):
     params (pairs of polynomial strings).  p, max_param_degree, n_max, m_max,
     count and seed must be JSON integers (max_param_degree at most
     MAX_PARAM_DEGREE, n_max and m_max at most MAX_INDEX, count at most
-    MAX_COUNT, and for the lehmer kind the term index its checks reach at
-    most MAX_TERM_INDEX and that index times the parameter degree at most
-    MAX_TERM_DEGREE), include_excluded a
-    JSON boolean, kinds and checks lists of strings, and params a list of
-    two-string lists, each polynomial of degree at most MAX_PARAM_DEGREE; a
-    repeated kind or check is kept once, at its first place.  The key=value
-    format takes one key per line with # comments; lists are
-    comma-separated, params entries are semicolon-separated "a,b" pairs,
-    enumeration is "exhaustive" or "random:count:seed", integers are
-    optionally signed decimal digits, and include_excluded is one of
-    true/false/yes/no/1/0.  Any other value, an unknown or repeated key (in
-    field and enumeration too), a p without the fp field and a random
-    enumeration beside params or at max_param_degree 0 raise ConfigInvalid.
+    MAX_COUNT, seed at least 0, and for the lehmer kind the term index its
+    checks reach at most MAX_TERM_INDEX and that index times the parameter
+    degree at most MAX_TERM_DEGREE), include_excluded a JSON boolean, kinds
+    and checks lists of strings, and params a list of two-string lists, each
+    polynomial of degree at most MAX_PARAM_DEGREE; a repeated kind or check is
+    kept once, at its first place.  The key=value format takes one key per
+    line with # comments; lists are comma-separated, params entries are
+    semicolon-separated "a,b" pairs, enumeration is "exhaustive" or
+    "random:count:seed", integers are optionally signed decimal digits, and
+    include_excluded is one of true/false/yes/no/1/0.  Any other value, an
+    unknown or repeated key (in field and enumeration too), a p without the
+    fp field, a random enumeration beside params or at max_param_degree 0
+    and JSON nested too deeply for the parser raise ConfigInvalid.
     """
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:
             doc = json.loads(text, object_pairs_hook=_unique_keys)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
             raise ConfigInvalid(f"bad JSON config: {exc}") from exc
         return _config_from_dict(doc)
     pairs = []
@@ -742,9 +733,25 @@ def _config_from_flat(doc):
     return _config_from_dict(out)
 
 
+# The most bytes load_config reads, far above any config or report in the repository.
+MAX_CONFIG_BYTES = 1 << 20
+
+
 def load_config(path):
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_config(handle.read())
+    """parse_config of the file at path; ConfigInvalid naming path when the
+    file cannot be read, is not UTF-8 or holds more than MAX_CONFIG_BYTES."""
+    try:
+        with open(path, "rb") as handle:
+            data = handle.read(MAX_CONFIG_BYTES + 1)
+    except OSError as exc:
+        raise ConfigInvalid(f"cannot read config {path}: {exc.strerror}") from exc
+    if len(data) > MAX_CONFIG_BYTES:
+        raise ConfigInvalid(f"config {path} holds more than {MAX_CONFIG_BYTES} bytes")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigInvalid(f"config {path} is not UTF-8: {exc}") from exc
+    return parse_config(text)
 
 
 def render_report(report):

@@ -268,6 +268,23 @@ class TestVerify:
         assert code == 0
         assert "params: 6 admitted, 3 rejected" in out
 
+    @pytest.mark.parametrize("case", ["missing", "directory", "not_utf8", "too_deep", "too_big"])
+    def test_unusable_config_file_exits_2(self, capsys, tmp_path, case):
+        path = tmp_path / "c.json"
+        if case == "directory":
+            path.mkdir()
+        elif case == "not_utf8":
+            path.write_bytes(b"field = q\xff\n")
+        elif case == "too_deep":
+            path.write_text('{"kinds": ' + "[" * 100_000 + "]" * 100_000 + "}", encoding="utf-8")
+        elif case == "too_big":
+            path.write_bytes(b" " * (verifier.MAX_CONFIG_BYTES + 1))
+        code, out, err = run(capsys, "verify", "--config", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("ConfigInvalid:")
+        if case != "too_deep":  # json.loads, which knows no path, finds that one
+            assert str(path) in err
+
     def test_explicit_params_report_their_largest_degree(self, capsys, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text(

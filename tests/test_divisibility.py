@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -115,6 +117,28 @@ class TestPrimitivePart:
         params = mk("power", F3, "x+1", "x")
         positions = [primitive_part(params, n).position for n in range(1, 8)]
         assert positions == [1, 2, None, 3, 4, None, 5]
+
+    # power(x+1, x) at n = 1..12: the position of each index (None where it
+    # is excluded) and the indices with a primitive divisor (term(1) = 1 has none)
+    @pytest.mark.parametrize(
+        "field,positions,primitive",
+        [
+            (F2, [1, None, 2, None, 3, None, 4, None, 5, None, 6, None], [3, 5, 7, 9, 11]),
+            (F3, [1, 2, None, 3, 4, None, 5, 6, None, 7, 8, None], [2, 4, 5, 7, 8, 10, 11]),
+            (Q, list(range(1, 13)), list(range(2, 13))),
+        ],
+        ids=["F2", "F3", "Q"],
+    )
+    def test_report_facts_table(self, field, positions, primitive):
+        reports = zsigmondy_check(mk("power", field, "x+1", "x"), 12)
+        assert [r.position for r in reports] == positions
+        assert [r.excluded for r in reports] == [pos is None for pos in positions]
+        assert [r.n for r in reports if r.has_primitive] == primitive
+
+    def test_report_with_a_unit_primitive_part_has_no_primitive(self):
+        rep = primitive_part(mk("power", F3, "x+1", "x"), 5)
+        assert rep.has_primitive
+        assert not dataclasses.replace(rep, primitive_part=Poly.one(F3)).has_primitive
 
     def test_phi_is_claimed_from_3_at_indices_prime_to_p(self):
         params = mk("power", F3, "x+1", "x")

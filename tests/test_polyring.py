@@ -20,7 +20,6 @@ from seqdiv.polyring import (
     _mul_raw,
     _strip_power,
     exact_div,
-    format_poly,
     is_associated,
     parse_poly,
     poly_gcd,
@@ -128,7 +127,7 @@ class TestDivision:
 
     def test_exact_division_frozen(self, f5):
         q, r = divmod(parse_poly(f5, "x^2+1"), parse_poly(f5, "x+2"))
-        assert format_poly(q) == "x+3"
+        assert str(q) == "x+3"
         assert r.is_zero()
         assert exact_div(parse_poly(f5, "x^2+1"), parse_poly(f5, "x+2")) == q
 
@@ -176,13 +175,13 @@ class TestGcd:
     def test_frozen_gcd(self, rationals):
         a = parse_poly(rationals, "x^3-2*x")
         b = parse_poly(rationals, "x^5-4*x^3+3*x")
-        assert format_poly(poly_gcd(a, b)) == "x"
+        assert str(poly_gcd(a, b)) == "x"
 
 
 class TestNormalForms:
     def test_monic_and_associates(self, f5):
         q = parse_poly(f5, "2*x+2")
-        assert format_poly(q.monic()) == "x+1"
+        assert str(q.monic()) == "x+1"
         assert is_associated(q, parse_poly(f5, "3*x+3"))
         assert not is_associated(q, parse_poly(f5, "x+2"))
 
@@ -252,6 +251,38 @@ class TestExactQuotientZ:
             assert Poly(Rationals(), got) == q
 
 
+# parse_poly's exact verdicts: a coefficient list, an error message, or a
+# dict of the two keyed by the characteristic where Q and F_5 differ.
+PARSE_TABLE = [
+    ("", "empty polynomial expression"),
+    ("  ", "empty polynomial expression"),
+    ("+", "bad term '' in '+'"),
+    ("-", "bad term '' in '-'"),
+    ("--x", "bad term '' in '--x'"),
+    ("x-", "dangling sign in 'x-'"),
+    ("-x-", "dangling sign in '-x-'"),
+    ("x+-3", "bad term '' in 'x+-3'"),
+    ("x++", "bad term '' in 'x++'"),
+    ("*", "bad term '*' in '*'"),
+    ("3*", "bad term '3*' in '3*'"),
+    ("*x", "bad term '*x' in '*x'"),
+    ("x3", "bad term 'x3' in 'x3'"),
+    ("3^2", "bad term '3^2' in '3^2'"),
+    ("x^", "bad term 'x^' in 'x^'"),
+    ("x^^2", "bad term 'x^^2' in 'x^^2'"),
+    ("^2", "bad term '^2' in '^2'"),
+    ("(x+1)", "bad term '(x' in '(x+1)'"),
+    ("1/0", {0: "bad rational literal '1/0'", 5: "fractional literal '1/0' not allowed over F_5"}),
+    ("1/2*x", {0: [0, Fraction(1, 2)], 5: "fractional literal '1/2' not allowed over F_5"}),
+    (f"x^{MAX_EXPONENT + 1}", f"exponent in 'x^{MAX_EXPONENT + 1}' exceeds {MAX_EXPONENT}"),
+    ("-x", [0, -1]),
+    ("+x", [0, 1]),
+    ("x^007", [0, 0, 0, 0, 0, 0, 0, 1]),
+    ("2x", [0, 2]),
+    ("x-x", []),
+]
+
+
 class TestParseFormat:
     @pytest.mark.parametrize(
         "text,canon",
@@ -268,12 +299,12 @@ class TestParseFormat:
         ],
     )
     def test_canonical_q(self, rationals, text, canon):
-        assert format_poly(parse_poly(rationals, text)) == canon
+        assert str(parse_poly(rationals, text)) == canon
 
     def test_canonical_fp(self, f5):
-        assert format_poly(parse_poly(f5, "-x+7")) == "4*x+2"
-        assert format_poly(parse_poly(f5, "x^2+4*x^2+x")) == "x"
-        assert format_poly(parse_poly(f5, "5*x^3+1")) == "1"
+        assert str(parse_poly(f5, "-x+7")) == "4*x+2"
+        assert str(parse_poly(f5, "x^2+4*x^2+x")) == "x"
+        assert str(parse_poly(f5, "5*x^3+1")) == "1"
 
     @pytest.mark.parametrize("bad", ["", "x^^2", "x^", "^2", "x**2", "x+", "(x+1)"])
     def test_parse_rejects(self, rationals, bad):
@@ -285,6 +316,19 @@ class TestParseFormat:
         with pytest.raises(ParseError, match="bad term"):
             parse_poly(rationals, bad)
 
+    @pytest.mark.parametrize("field", [Rationals(), PrimeField(5)], ids=["Q", "F5"])
+    @pytest.mark.parametrize("text,outcome", PARSE_TABLE, ids=[repr(t) for t, _ in PARSE_TABLE])
+    def test_parse_table(self, field, text, outcome):
+        if type(outcome) is dict:
+            outcome = outcome[field.char]
+        if type(outcome) is list:
+            assert parse_poly(field, text) == Poly(field, outcome)
+            return
+        with pytest.raises(ParseError) as info:
+            parse_poly(field, text)
+        assert type(info.value) is ParseError
+        assert str(info.value) == outcome
+
     def test_exponent_cap(self, f5):
         assert parse_poly(f5, f"x^{MAX_EXPONENT}").degree == MAX_EXPONENT
         assert parse_poly(f5, "x^007") == parse_poly(f5, "x^7")
@@ -294,8 +338,8 @@ class TestParseFormat:
 
     @given(q=poly_strategy(Rationals(), 4))
     def test_roundtrip_q(self, rationals, q):
-        assert parse_poly(rationals, format_poly(q)) == q
+        assert parse_poly(rationals, str(q)) == q
 
     @given(q=poly_strategy(PrimeField(7), 4))
     def test_roundtrip_fp(self, q):
-        assert parse_poly(q.field, format_poly(q)) == q
+        assert parse_poly(q.field, str(q)) == q

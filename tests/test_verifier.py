@@ -72,6 +72,9 @@ class TestConfigValidation:
             enumerate_params(config(enumeration=None))
         with pytest.raises(ConfigInvalid):
             enumerate_params(config(enumeration=Random(count=0, seed=1)))
+        # random.Random(-5) would draw what random.Random(5) draws
+        with pytest.raises(ConfigInvalid, match="seed must be >= 0, got -5"):
+            enumerate_params(config(enumeration=Random(count=5, seed=-5)))
 
     def test_empty_explicit_params(self):
         with pytest.raises(ConfigInvalid):
@@ -525,9 +528,12 @@ class TestConfigParsing:
             (JSON_DOC.replace('{"type": "fp", "p": 3}', '"fp"'), "field"),
             (JSON_DOC.replace('"exhaustive"', '"sideways"'), "enumeration"),
             (FLAT.replace("= exhaustive", "= sideways"), "enumeration"),
+            (JSON_DOC.replace('"exhaustive"}', '"random", "count": 5, "seed": -5}'),
+             "seed must be >= 0, got -5"),
+            (FLAT.replace("= exhaustive", "= random:5:-5"), "seed must be >= 0, got -5"),
         ],
         ids=["json-kind", "json-check", "json-params", "json-field", "json-enumeration",
-             "flat-enumeration"],
+             "flat-enumeration", "json-seed", "flat-seed"],
     )
     def test_bad_values_are_named(self, text, key):
         assert text not in (self.FLAT, self.JSON_DOC)
@@ -750,6 +756,20 @@ class TestReporting:
         }
         assert doc["failures"] == []
         assert doc["cases_run"] == doc["cases_passed"]
+
+    def test_report_json_key_order(self):
+        cfg = config(field=F3, kinds=(SeqKind.LEHMER,), checks=("zsigmondy",), n_max=8, m_max=8)
+        doc = run_campaign(cfg).to_json()
+        assert list(doc) == [
+            "config",
+            "params_admitted",
+            "params_rejected",
+            "cases_run",
+            "cases_passed",
+            "failures",
+            "wall_time",
+        ]
+        assert list(doc["failures"][0]) == ["kind", "a", "b", "check", "indices", "detail"]
 
     def test_failure_json_shape(self):
         cfg = config(
