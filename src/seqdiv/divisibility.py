@@ -17,14 +17,7 @@ from math import gcd as int_gcd
 
 from .errors import PreconditionViolated, UnsupportedField
 from .factorization import factor_fp, low_degree_factors_q
-from .polyring import (
-    Poly,
-    _strip_power,
-    exact_div,
-    is_associated,
-    poly_gcd,
-    valuation,
-)
+from .polyring import Poly, _strip_power, exact_div, poly_gcd, valuation
 from .sequences import SeqKind, cyclotomic_value, term
 
 __all__ = [
@@ -93,11 +86,16 @@ def strong_div_check(params, m, n):
 
     Reads and fills the per-sequence gcd table, which primitive_part may
     then reuse.  The gcd is always computed from the two terms themselves;
-    term(gcd(m, n)) appears only on the right of the comparison.
+    term(gcd(m, n)) appears only on the right of the comparison, made monic
+    once per sequence in params._monic.
     """
     if m < 1 or n < 1:
         raise PreconditionViolated("indices must be positive")
-    return is_associated(_term_gcd(params, m, n), term(params, int_gcd(m, n)))
+    d = int_gcd(m, n)
+    right = params._monic.get(d)
+    if right is None:
+        right = params._monic[d] = term(params, d).monic()
+    return _term_gcd(params, m, n) == right
 
 
 def primitive_part(params, n):
@@ -111,24 +109,31 @@ def primitive_part(params, n):
 
     The divisor for m is the gcd table's G = gcd(term(m), term(n)) when the
     table holds it (filled by strong_div_check or coprime_pair_check), else
-    term(m): b divides term(n), so gcd(b, term(m)) = gcd(b, G).  Either
-    divisor is skipped when it is a unit or has already been stripped.  This
-    function reads the table but never fills it, and never strips against
-    term(gcd(m, n)), which would assume the law strong_div_check is there to
-    test.
+    term(m): b divides term(n), so gcd(b, term(m)) = gcd(b, G).  The table's
+    gcds go first, largest degree first: each divides term(n), so the largest
+    usually takes the primes of the smaller ones, whose gcd with b is then 1
+    at once.  Then come the terms the table lacks, in index order.  The order
+    changes no result, since every prime of a divisor leaves b with its full
+    multiplicity; each gcd found is the divisor of the next, since it holds
+    every prime of the divisor still in b.  A divisor is skipped when it is a
+    unit or has already been stripped.  This function reads the table but
+    never fills it, and never strips against term(gcd(m, n)), which would
+    assume the law strong_div_check is there to test.
     """
     if n < 1:
         raise PreconditionViolated("index must be positive")
-    t = term(params, n)
-    b = t
+    t = b = term(params, n)
+    table, indices = params._gcd, range(1, n)
+    known = [table[m, n] for m in indices if (m, n) in table]
+    known.sort(key=lambda g: g.degree, reverse=True)
     stripped = set()
-    for m in range(1, n):
-        divisor = params._gcd.get((m, n)) or term(params, m)
+    for divisor in known + [term(params, m) for m in indices if (m, n) not in table]:
         if divisor.is_unit() or divisor.coeffs in stripped:
             continue
         stripped.add(divisor.coeffs)
+        g = divisor
         while True:
-            g = poly_gcd(b, divisor)
+            g = poly_gcd(b, g)
             if g.is_unit():
                 break
             b = exact_div(b, g)
@@ -236,9 +241,10 @@ def index_scaled_coprime_check(params, m, n):
     if m % 2 == 0 or n % 2 == 0:
         raise PreconditionViolated("both indices must be odd")
     tn = term(params, n)
-    left = exact_div(term(params, m * n), tn)
-    right = exact_div(term(params, 2 * n), tn)
-    return poly_gcd(left, right).is_unit()
+    right = params._half.get(n)
+    if right is None:
+        right = params._half[n] = exact_div(term(params, 2 * n), tn)
+    return poly_gcd(exact_div(term(params, m * n), tn), right).is_unit()
 
 
 def coprime_pair_check(params, m, n):

@@ -166,6 +166,9 @@ def _sqf(f):
         df = f.derivative()
         if not df.is_zero():
             g = poly_gcd(f, df)
+            if g.is_unit():  # f is squarefree
+                out.append((f, n))
+                return out
             h = exact_div(f, g)
             i = 1
             while not h.is_unit():

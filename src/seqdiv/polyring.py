@@ -149,6 +149,9 @@ def _gcd_raw(a, b, field):
     its neighbour for room = (256 - p) // (p-1)^2 steps; one bytes.translate
     reduces every slot mod p after each division and, when a division takes
     more than room steps, before step room + 1.  room >= 1 only for p <= 16.
+    A division that drops the degree by one runs its two steps unrolled when
+    room >= 2 (p <= 11).  The last remainder, lead c, is made monic in bytes
+    by the row of lead -c, which maps s to s / c.
 
     For p > 13, and over Q with a zero argument or when the heuristic gives
     up, each remainder is the one of ``_divrem_raw``.
@@ -167,20 +170,23 @@ def _gcd_raw(a, b, field):
         while b:
             db = len(b) - 1
             row, d, steps = rows[b[0]], int.from_bytes(b, "little"), 0
-            for m in range(len(a), db, -1):  # r has m slots
-                q = row[r & 255]
-                if q:
-                    if steps == room:
-                        r = int.from_bytes(r.to_bytes(m, "little").translate(mod_p), "little")
-                        steps = 0
-                    r += q * d
-                    steps += 1
-                r >>= 8
+            if len(a) - db == 2 and room >= 2:
+                r = (r + row[r & 255] * d) >> 8
+                r = (r + row[r & 255] * d) >> 8
+            else:
+                for m in range(len(a), db, -1):  # r has m slots
+                    q = row[r & 255]
+                    if q:
+                        if steps == room:
+                            r = int.from_bytes(r.to_bytes(m, "little").translate(mod_p), "little")
+                            steps = 0
+                        r += q * d
+                        steps += 1
+                    r >>= 8
             a, b, r = b, r.to_bytes(db, "little").translate(mod_p).lstrip(b"\0"), d
-        a = list(a[::-1])
-    else:
-        while b:
-            a, b = b, _divrem_raw(a, b, field)[1]
+        return list(a.translate(rows[p - a[0]])[::-1]) if a else []
+    while b:
+        a, b = b, _divrem_raw(a, b, field)[1]
     if a and a[-1] != 1:
         a = _monic_raw(a, field)
     return a

@@ -52,14 +52,16 @@ class SeqParams:
     _terms holds term(n) by index, _apow and _bpow only the newest powers
     a^k and b^k, from which term builds the power kind (nothing else reads
     them), _lam and _eta the tower powers of the oracle, _gcd the monic
-    gcd(term(m), term(n)) keyed by (m, n) with m <= n, and _val the
-    valuation(q, term(n)) keyed by (q.coeffs, n).  The last two are filled
+    gcd(term(m), term(n)) keyed by (m, n) with m <= n, _monic the monic
+    term(d) keyed by d, _half term(2n)/term(n) keyed by n, and _val the
+    valuation(q, term(n)) keyed by (q.coeffs, n).  The last four are filled
     by the divisibility checks, each only with values actually computed.
     Compared by identity: two objects for one pair keep separate caches.
     """
 
     __slots__ = (
-        "kind", "field", "a", "b", "_terms", "_apow", "_bpow", "_lam", "_eta", "_gcd", "_val",
+        "kind", "field", "a", "b", "_terms", "_apow", "_bpow", "_lam", "_eta",
+        "_gcd", "_monic", "_half", "_val",
     )
 
     def __init__(self, kind, field, a, b):
@@ -72,6 +74,8 @@ class SeqParams:
         self._lam = None
         self._eta = None
         self._gcd = {}
+        self._monic = {}
+        self._half = {}
         self._val = {}
 
     def __repr__(self):

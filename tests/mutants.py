@@ -40,8 +40,8 @@ MUTANTS = [
     Mutant(
         "strip_skips_term_1",
         "divisibility",
-        "for m in range(1, n):",
-        "for m in range(2, n):",
+        "range(1, n)",
+        "range(2, n)",
         "tests/test_divisibility.py::TestGcdTable::test_stripping_against_the_table_is_exact",
     ),
     Mutant(
@@ -86,6 +86,35 @@ MUTANTS = [
         "if divisor.is_unit():",
         "tests/test_divisibility.py::TestGcdTable",
         equivalent="the skip only saves time: stripping a divisor twice divides out nothing more",
+    ),
+    Mutant(
+        "known_divisors_reversed",
+        "divisibility",
+        "for divisor in known + [",
+        "for divisor in known[::-1] + [",
+        "tests/test_divisibility.py::TestGcdTable",
+        equivalent="the order only changes the work: every divisor's primes leave b in full",
+    ),
+    Mutant(
+        "monic_term_cache_keyed_by_m",
+        "divisibility",
+        "right = params._monic.get(d)\n    if right is None:\n        right = params._monic[d]",
+        "right = params._monic.get(m)\n    if right is None:\n        right = params._monic[m]",
+        "tests/test_divisibility.py::TestStrongDivisibility::test_small_grid",
+    ),
+    Mutant(
+        "packed_gcd_unrolls_without_room",
+        "polyring",
+        "if len(a) - db == 2 and room >= 2:",
+        "if len(a) - db == 2:",
+        "tests/test_polyring_sympy.py::test_packed_gcd_one_degree_drop",
+    ),
+    Mutant(
+        "packed_gcd_monic_by_the_lead_row",
+        "polyring",
+        "rows[p - a[0]]",
+        "rows[a[0]]",
+        "tests/test_polyring_sympy.py::test_packed_gcd_makes_every_lead_monic",
     ),
     Mutant(
         "lehmer_term_degree_uncapped",

@@ -1,11 +1,12 @@
 import dataclasses
+from math import gcd
 
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from conftest import poly_strategy
-from seqdiv import divisibility
+from seqdiv import divisibility, polyring
 from seqdiv.coeff import PrimeField, Rationals
 from seqdiv.divisibility import (
     coprime_pair_check,
@@ -23,7 +24,7 @@ from seqdiv.divisibility import (
 )
 from seqdiv.errors import PreconditionViolated, UnsupportedField, ValidationError
 from seqdiv.factorization import factor_fp
-from seqdiv.polyring import Poly, is_associated, parse_poly, poly_gcd, valuation
+from seqdiv.polyring import Poly, exact_div, is_associated, parse_poly, poly_gcd, valuation
 from seqdiv.sequences import SeqKind, term, validate
 from seqdiv.verifier import CampaignConfig, run_campaign
 
@@ -84,6 +85,27 @@ class TestStrongDivisibility:
         params = mk("lucas", Q, "x", "1")
         with pytest.raises(PreconditionViolated):
             strong_div_check(params, 0, 4)
+
+    def test_a_wrong_gcd_fails_the_check(self, monkeypatch):
+        """The check compares the gcd computed from the two terms with monic
+        term(gcd(m, n)): a kernel gcd that is monic but wrong for one pair
+        fails that pair, and only it, on the first call and from the table."""
+        params = mk("power", F5, "x+1", "x")
+        poisoned = {term(params, 4).coeffs, term(params, 6).coeffs}
+        true_gcd = polyring._gcd_raw
+
+        def wrong_for_one_pair(a, b, field):
+            g = true_gcd(a, b, field)
+            if {tuple(a), tuple(b)} == poisoned:
+                g = [(g[0] + 1) % field.p] + g[1:]
+            return g
+
+        monkeypatch.setattr(polyring, "_gcd_raw", wrong_for_one_pair)
+        for _ in range(2):
+            for m in range(1, 9):
+                for n in range(1, 9):
+                    assert strong_div_check(params, m, n) == ({m, n} != {4, 6})
+        assert params._monic == {d: term(params, d).monic() for d in range(1, 9)}
 
 
 class TestPrimitivePart:
@@ -347,6 +369,18 @@ class TestCoprimalityLemmas:
             for n in (3, 5, 7):
                 assert index_scaled_coprime_check(params, m, n)
 
+    def test_index_scaled_keeps_one_quotient_per_n(self):
+        params = mk("lehmer", F3, "x^2+1", "x")
+        for n in (1, 3, 5):
+            for m in (1, 3, 5, 7):
+                left = exact_div(term(params, m * n), term(params, n))
+                right = exact_div(term(params, 2 * n), term(params, n))
+                expected = poly_gcd(left, right).is_unit()
+                assert index_scaled_coprime_check(params, m, n) == expected
+        assert params._half == {
+            n: exact_div(term(params, 2 * n), term(params, n)) for n in (1, 3, 5)
+        }
+
     def test_index_scaled_rejects_even(self):
         params = mk("lehmer", Q, "x", "1")
         with pytest.raises(PreconditionViolated):
@@ -380,8 +414,6 @@ class TestCoprimalityLemmas:
     def test_coprime_pair_fp_grid(self, p):
         field = PrimeField(p)
         params = mk("lehmer", field, "x+1", "x")
-        from math import gcd
-
         for m in range(1, 10, 2):
             for n in range(1, 13):
                 if gcd(m, n) == 1:
@@ -463,6 +495,45 @@ class TestGcdTable:
         if field.char:
             parts = primitive_parts_factored(fresh, n_max)
             assert [r.primitive_part for r in plain] == [parts[n] for n in range(1, n_max + 1)]
+
+    @pytest.mark.parametrize("state", ["full", "partial", "coprime", "none"])
+    @given(data=st.data())
+    def test_every_table_state_gives_the_same_parts(self, state, data):
+        """The table's gcds are stripped largest first, then the terms it
+        lacks: the parts equal those of stripping the terms alone whether the
+        table is full, partial, filled at coprime pairs only (as the
+        coprime_pairs check fills it) or empty, and primitive_part adds
+        nothing to it."""
+        field = data.draw(st.sampled_from([F2, F3, F5, Q]))
+        kind = data.draw(st.sampled_from(list(SeqKind)))
+        a = data.draw(poly_strategy(field, 2, nonzero=True))
+        b = data.draw(poly_strategy(field, 2, nonzero=True))
+        try:
+            fresh = validate(kind, field, a, b)
+        except ValidationError:
+            assume(False)
+        params = validate(kind, field, a, b)
+        n_max = 10
+        pairs = [(m, n) for n in range(2, n_max + 1) for m in range(1, n)]
+        fill = strong_div_check
+        if state == "partial":
+            pairs = data.draw(st.lists(st.sampled_from(pairs), unique=True))
+        elif state == "coprime":
+            pairs = [(m, n) for m, n in pairs if gcd(m, n) == 1]
+            if kind is not SeqKind.POWER:
+                fill = coprime_pair_check
+        elif state == "none":
+            pairs = []
+        for m, n in pairs:
+            fill(params, m, n)
+        table = dict(params._gcd)
+        assert len(table) == len(pairs)
+        reports = [primitive_part(params, n) for n in range(1, n_max + 1)]
+        assert params._gcd == table
+        assert reports == [primitive_part(fresh, n) for n in range(1, n_max + 1)]
+        if field.char:
+            parts = primitive_parts_factored(fresh, n_max)
+            assert [r.primitive_part for r in reports] == [parts[n] for n in range(1, n_max + 1)]
 
     def test_keys_are_ordered_pairs(self):
         params = mk("lehmer", F5, "x^2+1", "x")

@@ -14,6 +14,7 @@ the tests below compare them with sympy, with plain division (divmod) and
 with the Euclidean gcd loop the heuristic gcd falls back to.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -142,6 +143,68 @@ def test_fp_gcd_at_the_slot_bound(p):
     a = b * Poly(field, [0, -room] + [1] * (room + 1))
     assert poly_gcd(a, b) == poly_gcd(b, a) == b.monic()
     assert b.monic().coeffs == sympy_gcd(a, b)
+
+
+def list_euclid_gcd(a, b):
+    """The list loop of _gcd_raw made monic by _monic_raw: the reference for the packed loop."""
+    field, a, b = a.field, list(a.coeffs), list(b.coeffs)
+    while b:
+        a, b = b, polyring._divrem_raw(a, b, field)[1]
+    return tuple(polyring._monic_raw(a, field)) if a else ()
+
+
+def random_poly(field, rng, degree, lead=None):
+    p = field.p
+    return Poly(field, [rng.randrange(p) for _ in range(degree)] + [lead or rng.randrange(1, p)])
+
+
+PACKED_PRIMES = (3, 5, 7, 11, 13)
+
+
+@pytest.mark.parametrize("p", PACKED_PRIMES)
+def test_packed_gcd_makes_every_lead_monic(p):
+    """The packed loop makes its last remainder monic in bytes.  gcd(f, 0)
+    and gcd(f u, f) end on f itself, so every lead 1..p-1 is taken there;
+    gcd(f u, f v) ends on a multiple of f."""
+    field = PrimeField(p)
+    rng = random.Random(p)
+    zero = Poly.zero(field)
+    for lead in range(1, p):
+        for degree in range(6):
+            f = random_poly(field, rng, degree, lead)
+            u, v = random_poly(field, rng, 4), random_poly(field, rng, 3)
+            for a, b in [(f, zero), (f * u, f), (f * u, f * v)]:
+                g = poly_gcd(a, b)
+                assert g.coeffs == list_euclid_gcd(a, b) == sympy_gcd(a, b)
+                assert poly_gcd(b, a) == g
+
+
+@pytest.mark.parametrize("p", [11, 13])
+def test_packed_gcd_one_degree_drop(p):
+    """A division that drops the degree by one takes two steps.  b has every
+    coefficient p-1 and a = b (x + 1), so both steps add (p-1)^2 to a slot
+    that starts at p-1 or p-2: 210 <= 255 at p = 11 (room 2), where the two
+    steps run unrolled, but 300 at p = 13 (room 1), where they must not."""
+    assert (256 - p) // (p - 1) ** 2 == (2 if p == 11 else 1)
+    field = PrimeField(p)
+    for k in range(1, 9):
+        b = Poly(field, [p - 1] * k)
+        a = b * Poly(field, [1, 1])
+        assert poly_gcd(a, b) == poly_gcd(b, a) == b.monic()
+        assert b.monic().coeffs == sympy_gcd(a, b)
+
+
+@pytest.mark.parametrize("p", PACKED_PRIMES)
+def test_packed_gcd_consecutive_degrees(p):
+    """Degrees d + 1 and d: most divisions of the run drop the degree by one."""
+    field = PrimeField(p)
+    rng = random.Random(100 + p)
+    for _ in range(60):
+        d = rng.randrange(1, 12)
+        common = random_poly(field, rng, rng.randrange(3))
+        a = random_poly(field, rng, d + 1) * common
+        b = random_poly(field, rng, d) * common
+        assert poly_gcd(a, b).coeffs == list_euclid_gcd(a, b) == sympy_gcd(a, b)
 
 
 def exact_types(f):
