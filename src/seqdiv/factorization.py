@@ -1,19 +1,13 @@
 """Squarefree decomposition over Q and F_p, full factorization over F_p,
 and the bounded-degree rational divisor search used by the valuation checks.
 
-The F_p pipeline is squarefree decomposition (with p-th-root extraction when
-the derivative vanishes), then distinct-degree splitting with Frobenius
-powers, then randomized equal-degree splitting; for p = 2 the equal-degree
-split uses the trace map.  Randomness is confined to an explicitly seeded
-generator so runs are reproducible, and factors are returned in a canonical
-order either way.
-
-The distinct- and equal-degree steps work on raw lists in one
-``_QuotientRing`` F_p[x]/(f) per squarefree part f: Kronecker substitution
-packs each operand into one int, so a product is one multiply, then its
-slots are reduced mod p and mod f.  Every cofactor and split factor g they
-take a gcd with divides f, so gcd(g, h mod f) = gcd(g, h): the ring is never
-rebuilt for a smaller modulus.
+Over F_p, after the squarefree decomposition (with p-th-root extraction when
+the derivative vanishes), Berlekamp's algorithm (von zur Gathen and Gerhard,
+Modern Computer Algebra, ch. 14) splits each squarefree part f: the v with
+v^p = v mod f, the left nullspace of Q - I for Q the Frobenius matrix, have
+the number of irreducible factors of f as dimension, and gcds of f with
+v - s (s in F_p) split f.  Rows of [Q - I | I] are packed into ints.  Only
+for p > 13 does the split draw random elements, from a seeded generator.
 
 Over Q only the divisors of degree 1 and 2 are searched for, on the
 primitive integer form c of the squarefree part.  By Gauss's lemma a
@@ -27,10 +21,12 @@ import random
 from fractions import Fraction
 
 from .coeff import PrimeField, Rationals
-from .cyclokit import divisors
+from .cyclokit import _factor_int, divisors
 from .errors import UnsupportedField, ZeroArgument
 from .polyring import (
+    _BYTE_SLOT_MAX_P,
     Poly,
+    _byte_slot_tables,
     _divrem_raw,
     _exact_quotient_z,
     _gcd_raw,
@@ -130,27 +126,19 @@ class _QuotientRing:
         for row in self.rows:
             low += (c & mask) % p * row
             c >>= w
-        out = shift = 0
-        while low:
-            out |= (low & mask) % p << shift
-            low >>= w
-            shift += w
-        return out
+        return self.reduce(low)
+
+    def reduce(self, v):
+        return self.pack([c % self.p for c in self.unpack(v)])
 
     def pow(self, a, e):
-        result = 1
-        while e:
-            if e & 1:
+        """a^e for e >= 1, left to right from a itself."""
+        result = a
+        for bit in bin(e)[3:]:
+            result = self.mul(result, result)
+            if bit == "1":
                 result = self.mul(result, a)
-            e >>= 1
-            a = self.mul(a, a) if e else a
         return result
-
-
-def _minus_monomial(cs, k, p):
-    out = cs + [0] * (k + 1 - len(cs))
-    out[k] = (out[k] - 1) % p
-    return _strip(out)
 
 
 def _sqf(f):
@@ -197,72 +185,112 @@ def squarefree_decomp(h):
     return Factorization(h.field, unit, _sqf(f))
 
 
-def _ddf(f, ring, field):
-    """Distinct-degree split of a monic squarefree raw list over F_p; ring is F_p[x]/(f)."""
-    p = field.p
-    out = []
-    h = ring.pack([0, 1])
-    d = 1
-    while len(f) > 2 * d:
-        h = ring.pow(h, p)
-        g = _gcd_raw(f, _minus_monomial(ring.unpack(h), 1, p), field)
-        if len(g) > 1:
-            out.append((g, d))
-            f = _divrem_raw(f, g, field)[0]
-        d += 1
-    if len(f) > 1:
-        out.append((f, len(f) - 1))
-    return out
+def _berlekamp_basis(f, p):
+    """A basis of {v : v^p = v mod f}, 1 first, as lists of n = deg f values:
+    the right halves of the rows [X_i - e_i | e_i], X_i = x^(ip) mod f, that
+    never pivot.  A live row takes at most room additions, each adding at most
+    (p-1)^2 to a slot, between two reductions of its slots mod p.  For p <= 13
+    a slot is a byte, as in _gcd_raw, and X_i is X_(i-1) shifted p times by one
+    slot, each top slot folded in as a multiple of x^n mod f.  For p > 13 a
+    _QuotientRing slot holds n additions, so only a pivot is reduced, and X_i
+    is one ring product."""
+    n = len(f) - 1
+    if p <= _BYTE_SLOT_MAX_P:
+        mod_p, _, room = _byte_slot_tables(p)
+        w, low, fold = 8, (1 << 8 * n) - 1, int.from_bytes(bytes(-c % p for c in f[:-1]), "little")
+
+        def reduce(r):
+            return int.from_bytes(r.to_bytes(2 * n, "little").translate(mod_p), "little")
+
+        xs, x = [1], 1
+        for j in range(1, p * (n - 1) + 1):
+            x = (x << 8 & low) + mod_p[x >> 8 * n - 8] * fold
+            if j % p == 0:
+                xs.append(x := reduce(x))
+            elif j % room == 0:
+                x = reduce(x)
+    else:
+        ring = _QuotientRing(f, p)
+        w, room, reduce = ring.w, n, ring.reduce
+        xs = [1, ring.pow(ring.pack([0, 1]), p)]
+        while len(xs) < n:
+            xs.append(ring.mul(xs[-1], xs[1]))
+    # p - 1 at slot i subtracts e_i, so a row starts with one addition in
+    live = [x + ((p - 1) << w * i) + (1 << w * (n + i)) for i, x in enumerate(xs)]
+    mask = (1 << w) - 1
+    for _ in range(n):  # column j is in slot 0: every live row shifts once a column
+        t = next((t for t, r in enumerate(live) if (r & mask) % p), None)
+        pivot = 0 if t is None else reduce(live.pop(t))  # 0: the rows only shift
+        if (n - len(live)) % room == 0:  # the rows have had room additions
+            live = [reduce(r) for r in live]
+        inv = -pow(pivot & mask, p - 2, p)
+        live = [(r + (r & mask) * inv % p * pivot) >> w for r in live]
+    return [[(r >> w * i & mask) % p for i in range(n)] for r in live]
 
 
-def _edf(f, d, ring, rng, field):
-    """Equal-degree split: f is monic squarefree raw, all factors of degree d,
-    and divides the modulus of ring."""
-    if len(f) - 1 == d:
+def _split(f, field):
+    """Monic irreducible factors of a monic squarefree raw f.  Each factor h
+    splits into the gcd(h, v - s), s in F_p, for basis vectors v (p <= 13), or
+    into gcd(h, u^((p-1)/2) - 1) and its cofactor, u random in the span."""
+    if len(f) < 3:
         return [f]
-    p = field.p
-    while True:
-        r = [rng.randrange(p) for _ in range(rng.randrange(len(f) - 1))]
-        r.append(rng.randrange(1, p))
-        if p == 2:
-            # canonical slots are bits, so adding mod 2 is XOR
-            acc = t = ring.pack(r)
-            for _ in range(d - 1):
-                t = ring.mul(t, t)
-                acc ^= t
-            g = _gcd_raw(f, ring.unpack(acc), field)
-        else:
-            t = ring.unpack(ring.pow(ring.pack(r), (p**d - 1) // 2))
-            g = _gcd_raw(f, _minus_monomial(t, 0, p), field)
-        if 1 < len(g) < len(f):
-            rest = _divrem_raw(f, g, field)[0]
-            return _edf(g, d, ring, rng, field) + _edf(rest, d, ring, rng, field)
+    p, basis, factors = field.p, _berlekamp_basis(f, field.p), [f]
+    if p <= _BYTE_SLOT_MAX_P:
+        for v in basis[1:]:
+            out = []
+            for h in factors:
+                r, left = _strip(_divrem_raw(v, h, field)[1]), len(h) - 1
+                if len(r) < 2:  # v is constant mod h
+                    out.append(h)
+                    continue
+                for s in range(p):
+                    if left and len(g := _gcd_raw(h, [(r[0] - s) % p] + r[1:], field)) > 1:
+                        out.append(g)
+                        left -= len(g) - 1
+            factors = out
+            if len(factors) == len(basis):
+                break
+        return factors
+    ring, rng = _QuotientRing(f, p), random.Random(_DEFAULT_SEED)
+    while len(factors) < len(basis):
+        u = ring.reduce(sum(rng.randrange(p) * ring.pack(v) for v in basis))  # n(p-1)^2 < 2^w
+        t = ring.unpack(ring.reduce(ring.pow(u, (p - 1) // 2) + p - 1))
+        out = []
+        for h in factors:
+            g = _gcd_raw(h, t, field)
+            out += [g, _divrem_raw(h, g, field)[0]] if 1 < len(g) < len(h) else [h]
+        factors = out
+    return factors
 
 
 def factor_fp(h):
-    """Complete factorization over F_p into monic irreducibles with exponents."""
+    """Complete factorization over F_p into monic irreducibles with exponents,
+    in canonical order: Berlekamp's split of each squarefree part, which draws
+    random elements (from a seeded generator) only for p > 13."""
     if not isinstance(h.field, PrimeField):
         raise UnsupportedField("full factorization is implemented over F_p only")
     if h.is_zero():
         raise ZeroArgument("cannot factor the zero polynomial")
     sqf = squarefree_decomp(h)
-    rng = random.Random(_DEFAULT_SEED)
-    factors = []
-    for part, mult in sqf.factors:
-        ring = _QuotientRing(part.coeffs, h.field.p)
-        for prod, d in _ddf(list(part.coeffs), ring, h.field):
-            for q in _edf(prod, d, ring, rng, h.field):
-                factors.append((Poly._make(h.field, q), mult))
-    return Factorization(h.field, sqf.unit, factors)
+    factors = [(q, e) for part, e in sqf.factors for q in _split(list(part.coeffs), h.field)]
+    return Factorization(h.field, sqf.unit, [(Poly._make(h.field, q), e) for q, e in factors])
 
 
 def is_irreducible_fp(h):
-    """Irreducibility over F_p: the distinct-degree split of h is h alone (a
-    reducible h, squarefree or not, splits off a factor of degree <= deg h / 2)."""
+    """Irreducibility over F_p by Rabin's test: for f = monic h of degree n,
+    x^(p^n) = x mod f, and gcd(x^(p^(n/r)) - x, f) = 1 for each prime r | n."""
     if not isinstance(h.field, PrimeField):
         raise UnsupportedField("irreducibility test is implemented over F_p only")
-    f = list(h.monic().coeffs)
-    return h.degree >= 1 and _ddf(f, _QuotientRing(f, h.field.p), h.field) == [(f, h.degree)]
+    n, p, f = h.degree, h.field.p, list(h.monic().coeffs)
+    if n < 2:
+        return n == 1
+    ring, checks = _QuotientRing(f, p), {n // r for r, _ in _factor_int(n)}
+    x = t = ring.pack([0, 1])
+    for k in range(1, n + 1):
+        t = ring.pow(t, p)
+        if k in checks and _gcd_raw(f, ring.unpack(ring.reduce(t + (p - 1) * x)), h.field) != [1]:
+            return False
+    return t == x
 
 
 def _signed_divisors(n):

@@ -16,11 +16,11 @@ gcd run on primitive integer forms (``_int_form``) and rescale a result once
 (``_scale``).  This is exact: by Gauss's lemma a primitive integer b divides
 a over Q exactly when it does over Z, so the first quotient coefficient that
 is not an integer proves that b does not divide a; the heuristic gcd
-(``_heu_gcd_z``) accepts its candidate only after two exact divisions, and
-when it gives up (or an argument is zero) ``_gcd_raw`` runs Euclid on the
-remainders of ``_divrem_raw``, as over F_p with p > 13.  ``divmod`` is the
-one quotient-and-remainder operator of ``Poly`` (it has no ``//`` or ``%``);
-it runs ``_divrem_raw`` over Q as well, and no campaign calls it.
+(``_heu_gcd_z``) accepts a candidate, unless it is 1, only after two exact
+divisions, and when it gives up (or an argument is zero) ``_gcd_raw`` runs
+Euclid on the remainders of ``_divrem_raw``, as over F_p with p > 13.
+``divmod`` is the one quotient-and-remainder operator of ``Poly`` (no ``//``
+or ``%``); it runs ``_divrem_raw`` over Q as well, and no campaign calls it.
 
 Over F_p with p <= 13 the Euclidean loop of ``_gcd_raw`` runs on
 byte-packed ints, one coefficient per byte: a division step adds at most
@@ -233,6 +233,8 @@ def _heu_gcd_z(f, g):
             h.append(d)
             gamma = (gamma - d) // xi
         h = _int_form(h)[0]
+        if h == [1]:  # a constant divides every polynomial
+            return h
         if _exact_quotient_z(f, h) is not None and _exact_quotient_z(g, h) is not None:
             return h
         xi = xi * 73794 * math.isqrt(math.isqrt(xi)) // 27011

@@ -152,6 +152,41 @@ MUTANTS = [
         "tests/test_divisibility.py::TestPrimitivePart::test_report_facts_table",
     ),
     Mutant(
+        "berlekamp_rows_without_minus_e_i",
+        "factorization",
+        "live = [x + ((p - 1) << w * i) + (1 << w * (n + i)) for i, x in enumerate(xs)]",
+        "live = [x + (1 << w * (n + i)) for i, x in enumerate(xs)]",
+        "tests/test_factorization.py::TestFactorFp::test_product_of_known_irreducibles",
+    ),
+    Mutant(
+        "value_split_skips_zero",
+        "factorization",
+        "for s in range(p):",
+        "for s in range(1, p):",
+        "tests/test_factorization.py::TestFactorFp::test_product_of_known_irreducibles",
+    ),
+    Mutant(
+        "berlekamp_rows_reduced_a_pivot_late",
+        "factorization",
+        "if (n - len(live)) % room == 0:",
+        "if (n - len(live)) % (room + 1) == 0:",
+        "tests/test_factorization_sympy.py::test_factor_fp_dense_inputs_at_the_slot_bound",
+    ),
+    Mutant(
+        "frobenius_rows_reduced_a_shift_late",
+        "factorization",
+        "elif j % room == 0:",
+        "elif j % (room + 1) == 0:",
+        "tests/test_factorization_sympy.py::test_factor_fp_dense_inputs_at_the_slot_bound",
+    ),
+    Mutant(
+        "berlekamp_pivot_not_reduced",
+        "factorization",
+        "reduce(live.pop(t))",
+        "live.pop(t)",
+        "tests/test_factorization.py::TestFactorFp::test_product_of_known_irreducibles",
+    ),
+    Mutant(
         "report_keys_reversed",
         "verifier",
         "for f in fields(self)}",

@@ -72,14 +72,14 @@ class TestFactorFp:
     @pytest.mark.parametrize(
         "p, factors, expected",
         [
-            # the trace branch; three quartics need a split inside a split
+            # two cubics and three quartics: factors of equal degree at p = 2
             (
                 2,
                 "x, x+1, x^2+x+1, x^3+x+1, x^3+x^2+1, x^4+x+1, x^4+x^3+1, x^4+x^3+x^2+x+1",
                 "(x)(x+1)(x^2+x+1)(x^3+x^2+1)(x^3+x+1)(x^4+x^3+1)(x^4+x+1)(x^4+x^3+x^2+x+1)",
             ),
-            # five linears need a split inside a split; (x^2+x+1)^2 makes a
-            # second squarefree part
+            # five linears and three quadratics; (x^2+x+1)^2 makes a second
+            # squarefree part
             (
                 5,
                 "x^5-x, x^2+2, x^2+3, x^3+x+1, x^2+x+1, x^2+x+1",
@@ -89,14 +89,71 @@ class TestFactorFp:
     )
     @pytest.mark.parametrize("seed", [None, 2, 3])
     def test_splits_at_several_degrees(self, p, factors, expected, seed, monkeypatch):
-        """The squarefree part splits at several degrees, and every equal-degree
-        split takes its gcd against its own factor, not the ring's modulus."""
+        """The squarefree part has factors of several degrees, some of equal
+        degree, and every split takes its gcds against its own factor, not f."""
         if seed is not None:
             monkeypatch.setattr(factorization, "_DEFAULT_SEED", seed)
         field = PrimeField(p)
         h = Poly.one(field)
         for text in factors.split(", "):
             h = h * parse_poly(field, text)
+        assert str(factor_fp(h)) == expected
+
+    @pytest.mark.parametrize(
+        "p, factors",
+        [
+            (2, "(x)(x+1)(x^2+x+1)(x^5+x^3+1)(x^5+x^2+1)(x^6+x+1)(x^7+x+1)"),
+            (3, "(x+1)(x^2+1)(x^2+x+2)(x^2+2*x+2)(x^3+2*x+1)(x^4+x+2)"),
+            (11, "(x)(x+3)(x^2+1)(x^2+x+7)(x^3+x+5)(x^3+x+6)(x^4+x+3)"),  # room 2
+            (13, "(x+5)(x^2+2)(x^2+x+2)(x^2+5)(x^3+2*x+2)(x^3+x+5)(x^4+x+1)(x^6+x+1)"),  # room 1
+            # wide slots and the seeded random split
+            (2**31 - 1, "(x+1)(x+2)(x+3)(x^2+1)(x^2+2)"),
+            (2**61 + 15, "(x+1)(x+2)(x+3)(x^2+1)(x^2+2)"),
+        ],
+    )
+    def test_product_of_known_irreducibles(self, p, factors):
+        """A squarefree product of distinct irreducibles (sympy-checked) has
+        a nullspace of that many vectors and factors back into them."""
+        field = PrimeField(p)
+        h = Poly.one(field)
+        for text in factors[1:-1].split(")("):
+            h = h * parse_poly(field, text)
+        assert str(factor_fp(h)) == factors
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_all_monic_irreducibles_of_degree_1_and_2(self, p):
+        """x^(p^2) - x is the product of the p linears and (p^2 - p)/2 quadratics."""
+        field = PrimeField(p)
+        h = Poly(field, [0, p - 1] + [0] * (p * p - 2) + [1])
+        fact = factor_fp(h)
+        degrees = [f.degree for f, e in fact.factors if e == 1]
+        assert degrees == [1] * p + [2] * ((p * p - p) // 2)
+        assert fact.expand() == h
+
+    @pytest.mark.parametrize(
+        "p, text",
+        [(2, "x^7+x+1"), (3, "x^4+x+2"), (13, "x^6+x+1"), (2**61 + 15, "x^2+3")],
+    )
+    def test_irreducible_input_is_its_own_factor(self, p, text):
+        """A nullspace of dimension 1 leaves nothing to split."""
+        h = parse_poly(PrimeField(p), text)
+        assert factor_fp(h).factors == ((h, 1),)
+
+    @pytest.mark.parametrize(
+        "p, powers, expected",
+        [
+            (5, [("x^2+2", 5), ("x+1", 1)], "(x+1)(x^2+2)^5"),
+            (13, [("x^3+2*x+2", 13), ("x^2+5", 2)], "(x^2+5)^2(x^3+2*x+2)^13"),
+            # parts of degree 1 next to a split one
+            (2, [("x", 2), ("x+1", 4), ("x^2+x+1", 1)], "(x)^2(x+1)^4(x^2+x+1)"),
+            (7, [("x", 1), ("x+6", 3)], "(x)(x+6)^3"),  # every part of degree 1
+        ],
+    )
+    def test_pth_powers_and_linear_parts(self, p, powers, expected):
+        field = PrimeField(p)
+        h = Poly.one(field)
+        for text, e in powers:
+            h = h * parse_poly(field, text) ** e
         assert str(factor_fp(h)) == expected
 
     def test_rejects_zero(self, f5):
@@ -129,10 +186,34 @@ class TestIrreducibility:
             (5, "x^2+1", False),
             (3, "x^3-x+1", True),
             (7, "x", True),
+            (7, "3", False),
         ],
     )
     def test_known_cases(self, p, text, expect):
         assert is_irreducible_fp(parse_poly(PrimeField(p), text)) is expect
+
+    @pytest.mark.parametrize(
+        "p, factors",
+        [
+            (3, "x^2+1, x^2+x+2"),  # degree 4: gcd(x^(p^2) - x, f) = f
+            (3, "x^2+1, x^3+2*x+1"),  # degree 5, prime: x^(p^5) != x
+            (11, "x^3+x+5, x^3+x+6"),  # degree 6: gcd at n/2 = 3
+            (13, "x^2+2, x^4+x+1"),  # degree 6: gcd at n/3 = 2
+            (2, "x^2+x+1, x^5+x^2+1, x^5+x^3+1"),  # degree 12
+            (2**61 + 15, "x^2+1, x^2+2"),
+        ],
+    )
+    def test_reducible_squarefree_inputs(self, p, factors):
+        """Products of distinct irreducibles without a linear factor: Rabin's
+        test rejects each by a gcd at some n/r, or for a prime degree n by
+        x^(p^n) != x."""
+        field = PrimeField(p)
+        h = Poly.one(field)
+        for text in factors.split(", "):
+            assert is_irreducible_fp(parse_poly(field, text))
+            h = h * parse_poly(field, text)
+        assert poly_gcd(h, h.derivative()).is_unit()
+        assert is_irreducible_fp(h) is False
 
     def test_rejects_rationals(self, rationals):
         with pytest.raises(UnsupportedField):

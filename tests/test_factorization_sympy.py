@@ -3,12 +3,16 @@
 sympy is a test-only dependency: the module is skipped without it.  Over
 F_p, sympy prints coefficients in symmetric form (-p/2 .. p/2), so its
 factors are made monic and their coefficients taken mod p before comparing.
-The prime 2^31 - 1 exercises the widest packed slots of the quotient ring;
-13 is the largest prime of the byte-packed gcd, and from 17 on every gcd
-inside factorization takes the remainders of the list division.
+The prime 2^31 - 1 exercises the widest packed slots of the quotient ring
+and of the Berlekamp rows; 13 is the largest prime of the byte-packed gcd
+and rows (one addition between two reductions, 11 has two), and from 17 on
+every gcd inside factorization takes the remainders of the list division
+and the split is random.
 Over Q, sympy's complete factorization restricted to degrees 1 and 2 is the
 reference for the bounded-degree divisor search, output order included.
 """
+
+import random
 
 import pytest
 from hypothesis import given
@@ -53,7 +57,9 @@ def squareful(data, field, max_degree):
 
 
 @pytest.mark.parametrize(
-    "p, max_degree", [(2, 20), (3, 20), (5, 20), (7, 20), (13, 20), (17, 12), (WIDE_PRIME, 8)]
+    "p, max_degree",
+    [(2, 20), (3, 20), (5, 20), (7, 20), (13, 20), (17, 12), (WIDE_PRIME, 8)]
+    + [(p, 30) for p in (2, 3, 5, 7, 11, 13)],
 )
 @given(data=st.data())
 def test_factor_fp_matches_sympy(p, max_degree, data):
@@ -61,6 +67,19 @@ def test_factor_fp_matches_sympy(p, max_degree, data):
     h = squareful(data, field, max_degree)
     unit, pairs = to_sympy(h).factor_list()
     assert ours(factor_fp(h)) == canonical(field, unit, pairs)
+
+
+@pytest.mark.parametrize("p", [11, 13])
+def test_factor_fp_dense_inputs_at_the_slot_bound(p):
+    """Dense inputs at the two primes with the least room, 2 and 1 additions
+    between two reductions of a byte slot: Frobenius rows and elimination
+    steps add close to (p-1)^2 to many slots, so one reduction made a step
+    late carries into a neighbouring slot and spoils a factorization."""
+    field, rng = PrimeField(p), random.Random(p)
+    for _ in range(30):
+        h = Poly(field, [rng.randrange(1, p) for _ in range(rng.randrange(20, 31))] + [1])
+        unit, pairs = to_sympy(h).factor_list()
+        assert ours(factor_fp(h)) == canonical(field, unit, pairs)
 
 
 @pytest.mark.parametrize(
