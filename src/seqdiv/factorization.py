@@ -185,17 +185,17 @@ def squarefree_decomp(h):
     return Factorization(h.field, unit, _sqf(f))
 
 
-def _berlekamp_basis(f, p):
+def _berlekamp_basis(f, p, ring):
     """A basis of {v : v^p = v mod f}, 1 first, as lists of n = deg f values:
     the right halves of the rows [X_i - e_i | e_i], X_i = x^(ip) mod f, that
     never pivot.  A live row takes at most room additions, each adding at most
     (p-1)^2 to a slot, between two reductions of its slots mod p.  For p <= 13
-    a slot is a byte, as in _gcd_raw, and X_i is X_(i-1) shifted p times by one
-    slot, each top slot folded in as a multiple of x^n mod f.  For p > 13 a
-    _QuotientRing slot holds n additions, so only a pivot is reduced, and X_i
-    is one ring product."""
+    (ring is None) a slot is a byte, as in _gcd_raw, and X_i is X_(i-1) shifted
+    p times by one slot, each top slot folded in as a multiple of x^n mod f.
+    For p > 13 a slot of ring, F_p[x]/(f), holds n additions, so only a pivot
+    is reduced, and X_i is one ring product."""
     n = len(f) - 1
-    if p <= _BYTE_SLOT_MAX_P:
+    if ring is None:
         mod_p, _, room = _byte_slot_tables(p)
         w, low, fold = 8, (1 << 8 * n) - 1, int.from_bytes(bytes(-c % p for c in f[:-1]), "little")
 
@@ -210,7 +210,6 @@ def _berlekamp_basis(f, p):
             elif j % room == 0:
                 x = reduce(x)
     else:
-        ring = _QuotientRing(f, p)
         w, room, reduce = ring.w, n, ring.reduce
         xs = [1, ring.pow(ring.pack([0, 1]), p)]
         while len(xs) < n:
@@ -234,8 +233,9 @@ def _split(f, field):
     into gcd(h, u^((p-1)/2) - 1) and its cofactor, u random in the span."""
     if len(f) < 3:
         return [f]
-    p, basis, factors = field.p, _berlekamp_basis(f, field.p), [f]
-    if p <= _BYTE_SLOT_MAX_P:
+    p, ring = field.p, None if field.p <= _BYTE_SLOT_MAX_P else _QuotientRing(f, field.p)
+    basis, factors = _berlekamp_basis(f, p, ring), [f]
+    if ring is None:
         for v in basis[1:]:
             out = []
             for h in factors:
@@ -251,7 +251,7 @@ def _split(f, field):
             if len(factors) == len(basis):
                 break
         return factors
-    ring, rng = _QuotientRing(f, p), random.Random(_DEFAULT_SEED)
+    rng = random.Random(_DEFAULT_SEED)
     while len(factors) < len(basis):
         u = ring.reduce(sum(rng.randrange(p) * ring.pack(v) for v in basis))  # n(p-1)^2 < 2^w
         t = ring.unpack(ring.reduce(ring.pow(u, (p - 1) // 2) + p - 1))
